@@ -18,6 +18,7 @@ from .decode import (
     decode_alg1,
     decode_alg2,
     decode_alg3,
+    decode_from_family,
     is_u_complete,
     w_bound,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "decode_alg1",
     "decode_alg2",
     "decode_alg3",
+    "decode_from_family",
     "delta_thm4",
     "delta_thm5",
     "encode",

@@ -16,8 +16,14 @@ and in the false-positive/false-negative envelope they guarantee:
 * algorithm 2: greedily union disjoint edges, then any edges bringing at
   least ``g + 1`` new items; envelope
   ``((floor(|S| / (ell + 1)) + u - 1) * g, g)``.
-* algorithm 3: run algorithm 2, restrict the family to its output, then run
-  the algorithm-1 extension inside it; envelope ``(g, 2g)``.
+* algorithm 3: run algorithm 2, filter the family down to the edges inside
+  its output (exactly the ``u``-subsets of that vertex set with
+  ``t0 <= e``), then run the algorithm-1 extension inside it; envelope
+  ``(g, 2g)``.
+
+Each decoder is a function of the edge family alone: :func:`build_family`
+runs once per decode, and :func:`decode_from_family` runs any of the three
+on a family already built.
 
 Every choice the underlying procedures leave open ("an arbitrary edge",
 "check all possible cases") is resolved lexicographically over sorted item
@@ -34,7 +40,7 @@ from typing import Iterable, Optional
 
 from .errors import FeasibilityError, ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
-from .model import TGTParams
+from .model import TGTParams, t0
 
 #: default cap on family construction (number of u-subsets enumerated)
 FAMILY_SUBSET_CAP = 10_000_000
@@ -86,14 +92,9 @@ class DecodeResult:
         return (self.max_false_positives, self.max_false_negatives)
 
 
-def _negative_cooccurrence(matrix: BinaryMatrix, outcome: OutcomeVector, combo) -> int:
-    # combo holds 0-based columns; counts negative rows containing them all
-    rows = outcome.negatives_mask
-    for j in combo:
-        rows &= matrix.col_masks[j]
-        if not rows:
-            return 0
-    return rows.bit_count()
+#: rows in the screen: a u-subset whose ``t0`` over the first rows alone
+#: exceeds ``e`` is rejected without a full-width intersection
+_SCREEN_ROWS = 512
 
 
 def build_family(
@@ -120,11 +121,92 @@ def build_family(
         raise FeasibilityError(
             f"family construction would enumerate {total} subsets > cap {subset_cap}"
         )
-    edges = []
-    for combo in combinations(range(n), u):
-        if _negative_cooccurrence(matrix, outcome, combo) <= e:
-            edges.append(tuple(j + 1 for j in combo))
+    negatives = outcome.negatives_mask
+    full = [mask & negatives for mask in matrix.col_masks]
+    if matrix.rows <= _SCREEN_ROWS:
+        screen = full  # the screen is exact; no subset needs a second look
+    else:
+        low_rows = (1 << _SCREEN_ROWS) - 1
+        screen = [mask & low_rows for mask in full]
+    edges: list[tuple[int, ...]] = []
+    _extend_edges(screen, full, u, e, (), -1, -1, 0, edges)
     return Family(u, tuple(edges))
+
+
+def _extend_edges(
+    screen: list[int],
+    full: list[int],
+    u: int,
+    e: int,
+    prefix: tuple[int, ...],
+    prefix_screen: int,
+    prefix_full: Optional[int],
+    start: int,
+    edges: list[tuple[int, ...]],
+) -> None:
+    """Append, in lexicographic order, every edge that extends ``prefix``
+    (sorted 1-based items) by items from ``start + 1`` on.
+
+    ``screen[j]`` and ``full[j]`` are the negative rows of 0-based column
+    ``j`` within the screen and over all rows; ``prefix_screen`` and
+    ``prefix_full`` intersect them over ``prefix``, and ``prefix_full`` is
+    None until some extension passes the screen.  A count over a subset of
+    the rows is a lower bound on ``t0``, so a screen count above ``e``
+    rejects exactly.
+    """
+    n = len(full)
+    need = u - len(prefix)
+    exact = screen is full
+    if need == 1:
+        hits = [
+            k
+            for k, mask in enumerate(screen[start:], start)
+            if (prefix_screen & mask).bit_count() <= e
+        ]
+        if hits and not exact:
+            if prefix_full is None:
+                prefix_full = _common_rows(full, prefix)
+            hits = [k for k in hits if (prefix_full & full[k]).bit_count() <= e]
+        edges.extend(prefix + (k + 1,) for k in hits)
+        return
+    for k in range(start, n - need + 1):
+        rows = prefix_screen & screen[k]
+        rows_full = None
+        if rows.bit_count() <= e:
+            if not exact:
+                if prefix_full is None:
+                    prefix_full = _common_rows(full, prefix)
+                rows_full = prefix_full & full[k]
+            if exact or rows_full.bit_count() <= e:
+                # t0 only falls as items join, so every extension is an edge
+                grown = prefix + (k + 1,)
+                edges.extend(
+                    grown + rest
+                    for rest in combinations(range(k + 2, n + 1), need - 1)
+                )
+                continue
+        _extend_edges(
+            screen, full, u, e, prefix + (k + 1,), rows, rows_full, k + 1, edges
+        )
+
+
+def _common_rows(masks: list[int], items: tuple[int, ...]) -> int:
+    rows = -1
+    for j in items:
+        rows &= masks[j - 1]
+    return rows
+
+
+def _build_family_reference(
+    matrix: BinaryMatrix, outcome: OutcomeVector, u: int, e: int
+) -> Family:
+    """Per-subset scan of ``t0``: the test oracle for :func:`build_family`."""
+    edges = tuple(
+        combo
+        for combo in combinations(range(1, matrix.cols + 1), u)
+        if t0(matrix, outcome, ItemSet(combo)) <= e
+    )
+    return Family(u, edges)
 
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
@@ -181,59 +263,23 @@ def _first_u_complete_extension(
     return None
 
 
-def _empty_result(algorithm: int, fp: int, fn: int) -> DecodeResult:
-    return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
-
-
-def decode_alg1(
-    outcome: OutcomeVector,
-    matrix: BinaryMatrix,
-    params: TGTParams,
-    subset_cap: int = FAMILY_SUBSET_CAP,
-    step_cap: int = EXTENSION_STEP_CAP,
-) -> DecodeResult:
-    """Swap-extension decoder; guarantees at most ``g`` false positives and
-    ``g`` false negatives on a verified matrix with at most ``e`` errors."""
-    g = params.g
-    family = build_family(matrix, outcome, params.u, params.e, subset_cap)
-    if not family.edges:
-        return _empty_result(1, g, g)
+def _swap_extend(
+    family: Family, universe: tuple[int, ...], d: int, g: int, step_cap: int
+) -> frozenset:
+    """Algorithm 1's extension inside ``universe``: start from the first
+    edge and take the first u-complete swap until ``d`` items or none."""
     current = frozenset(family.edges[0])
-    universe = range(1, params.n + 1)
-    while len(current) < params.d:
+    while len(current) < d:
         pool = tuple(j for j in universe if j not in current)
         nxt = _first_u_complete_extension(family, current, pool, g, step_cap)
         if nxt is None:
             break
         current = nxt
-    return DecodeResult(ItemSet.of(current), 1, g, g)
+    return current
 
 
-def decode_alg2(
-    outcome: OutcomeVector,
-    matrix: BinaryMatrix,
-    params: TGTParams,
-    subset_cap: int = FAMILY_SUBSET_CAP,
-) -> DecodeResult:
-    """Greedy union decoder.
-
-    Phase A unions disjoint edges; phase B unions edges contributing at
-    least ``g + 1`` new items; both scan the family lexicographically and
-    never reuse a consumed edge.  The reported false-positive cap uses
-    ``|S| = d`` (the decoder cannot see the true size; checks against a
-    known truth should use :func:`w_bound` at the actual ``|S|``).
-    """
-    g = params.g
-    fp_cap = w_bound(params.d, params.ell, params.u, g)
-    if math.e**2 * params.k_disjunct**2 > params.n * params.u:
-        # the procedure runs regardless; only the cost guarantee is nominal
-        warnings.warn(
-            "greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway",
-            stacklevel=2,
-        )
-    family = build_family(matrix, outcome, params.u, params.e, subset_cap)
-    if not family.edges:
-        return _empty_result(2, fp_cap, g)
+def _greedy_union(family: Family, g: int) -> set[int]:
+    """Algorithm 2's output on a non-empty family (see :func:`decode_alg2`)."""
     current = set(family.edges[0])
     used: set[tuple[int, ...]] = set()
     while True:  # phase A: disjoint edges
@@ -256,7 +302,123 @@ def decode_alg2(
             break
         used.add(pick)
         current.update(pick)
-    return DecodeResult(ItemSet.of(current), 2, fp_cap, g)
+    return current
+
+
+def _restricted_family(family: Family, vertices: Iterable[int]) -> Family:
+    """The edges inside ``vertices``.  These are exactly the ``u``-subsets
+    of ``vertices`` with ``t0 <= e``, by the definition of an edge."""
+    inside = frozenset(vertices)
+    edges = tuple(edge for edge in family.edges if inside.issuperset(edge))
+    return Family(family.u, edges)
+
+
+def _empty_result(algorithm: int, fp: int, fn: int) -> DecodeResult:
+    return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
+
+
+def _announce(params: TGTParams, algorithm: int) -> None:
+    """Reject an unknown algorithm and warn about the size conditions its
+    guarantee assumes (the decoders run regardless)."""
+    if algorithm not in (1, 2, 3):
+        raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
+    w = w_bound(params.d, params.ell, params.u, params.g)
+    if algorithm == 3 and w + params.d > params.n:
+        warnings.warn(
+            "refinement decoding assumes w + d <= n at worst-case w; "
+            "proceeding anyway",
+            stacklevel=3,
+        )
+    if algorithm != 1 and math.e**2 * params.k_disjunct**2 > params.n * params.u:
+        warnings.warn(
+            "greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway",
+            stacklevel=3,
+        )
+
+
+def _decode_family(
+    family: Family, params: TGTParams, algorithm: int, step_cap: int
+) -> DecodeResult:
+    g = params.g
+    if algorithm == 1:
+        if not family.edges:
+            return _empty_result(1, g, g)
+        universe = tuple(range(1, params.n + 1))
+        found = _swap_extend(family, universe, params.d, g, step_cap)
+        return DecodeResult(ItemSet.of(found), 1, g, g)
+    fp_cap = w_bound(params.d, params.ell, params.u, g)
+    if not family.edges:
+        if algorithm == 2:
+            return _empty_result(2, fp_cap, g)
+        return _empty_result(3, g, 2 * g)
+    greedy = _greedy_union(family, g)
+    if algorithm == 2:
+        return DecodeResult(ItemSet.of(greedy), 2, fp_cap, g)
+    vertices = tuple(sorted(greedy))
+    refined = _swap_extend(
+        _restricted_family(family, vertices), vertices, params.d, g, step_cap
+    )
+    return DecodeResult(ItemSet.of(refined), 3, g, 2 * g)
+
+
+def decode_from_family(
+    family: Family,
+    params: TGTParams,
+    algorithm: int,
+    step_cap: int = EXTENSION_STEP_CAP,
+) -> DecodeResult:
+    """Run algorithm 1, 2 or 3 on a family built by :func:`build_family`.
+
+    Each decoder is a function of the edge family alone, so one family
+    serves all three, and outcomes with equal families decode identically.
+    """
+    if family.u != params.u:
+        raise ValidationError(f"family has u={family.u}, params have u={params.u}")
+    _announce(params, algorithm)
+    return _decode_family(family, params, algorithm, step_cap)
+
+
+def decode(
+    outcome: OutcomeVector,
+    matrix: BinaryMatrix,
+    params: TGTParams,
+    algorithm: int,
+    subset_cap: int = FAMILY_SUBSET_CAP,
+    step_cap: int = EXTENSION_STEP_CAP,
+) -> DecodeResult:
+    """:func:`build_family`, then :func:`decode_from_family`."""
+    _announce(params, algorithm)
+    family = build_family(matrix, outcome, params.u, params.e, subset_cap)
+    return _decode_family(family, params, algorithm, step_cap)
+
+
+def decode_alg1(
+    outcome: OutcomeVector,
+    matrix: BinaryMatrix,
+    params: TGTParams,
+    subset_cap: int = FAMILY_SUBSET_CAP,
+    step_cap: int = EXTENSION_STEP_CAP,
+) -> DecodeResult:
+    """Swap-extension decoder; guarantees at most ``g`` false positives and
+    ``g`` false negatives on a verified matrix with at most ``e`` errors."""
+    return decode(outcome, matrix, params, 1, subset_cap, step_cap)
+
+
+def decode_alg2(
+    outcome: OutcomeVector,
+    matrix: BinaryMatrix,
+    params: TGTParams,
+    subset_cap: int = FAMILY_SUBSET_CAP,
+) -> DecodeResult:
+    """Greedy union decoder.
+
+    Phase A unions disjoint edges; phase B unions edges contributing at
+    least ``g + 1`` new items; both scan the family lexicographically and
+    never reuse a consumed edge.  The reported false-positive cap uses
+    ``|S| = d`` (the decoder cannot see the true size; checks against a
+    known truth should use :func:`w_bound` at the actual ``|S|``).
+    """
+    return decode(outcome, matrix, params, 2, subset_cap)
 
 
 def decode_alg3(
@@ -269,50 +431,7 @@ def decode_alg3(
     """Two-stage decoder: algorithm 2 proposes a vertex set, and the
     swap-extension runs on the family restricted to it; envelope
     ``(g, 2g)``."""
-    g = params.g
-    if w_bound(params.d, params.ell, params.u, g) + params.d > params.n:
-        warnings.warn(
-            "refinement decoding assumes w + d <= n at worst-case w; "
-            "proceeding anyway",
-            stacklevel=2,
-        )
-    stage1 = decode_alg2(outcome, matrix, params, subset_cap)
-    vertices = stage1.recovered.members
-    if stage1.underdetermined or not vertices:
-        return _empty_result(3, g, 2 * g)
-    edges = []
-    for combo in combinations(vertices, params.u):
-        zero_based = tuple(j - 1 for j in combo)
-        if _negative_cooccurrence(matrix, outcome, zero_based) <= params.e:
-            edges.append(combo)
-    family = Family(params.u, tuple(edges))
-    if not family.edges:
-        return _empty_result(3, g, 2 * g)
-    current = frozenset(family.edges[0])
-    while len(current) < params.d:
-        pool = tuple(j for j in vertices if j not in current)
-        nxt = _first_u_complete_extension(family, current, pool, g, step_cap)
-        if nxt is None:
-            break
-        current = nxt
-    return DecodeResult(ItemSet.of(current), 3, g, 2 * g)
-
-
-def decode(
-    outcome: OutcomeVector,
-    matrix: BinaryMatrix,
-    params: TGTParams,
-    algorithm: int,
-    subset_cap: int = FAMILY_SUBSET_CAP,
-    step_cap: int = EXTENSION_STEP_CAP,
-) -> DecodeResult:
-    if algorithm == 1:
-        return decode_alg1(outcome, matrix, params, subset_cap, step_cap)
-    if algorithm == 2:
-        return decode_alg2(outcome, matrix, params, subset_cap)
-    if algorithm == 3:
-        return decode_alg3(outcome, matrix, params, subset_cap, step_cap)
-    raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
+    return decode(outcome, matrix, params, 3, subset_cap, step_cap)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,10 @@ class BinaryMatrix:
         return self.col_masks[col - 1].bit_count()
 
 
+#: maps outcome bytes to binary digits of the negatives mask (0 -> "1")
+_NEGATIVE_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
+
+
 @dataclass(frozen=True)
 class OutcomeVector:
     """Length-``t`` vector of test outcomes (1 positive, 0 negative)."""
@@ -213,15 +217,19 @@ class OutcomeVector:
     negatives_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.bits:
+        bits = self.bits
+        if not bits:
             raise ValidationError("outcome vector must not be empty")
-        neg = 0
-        for i, b in enumerate(self.bits):
-            if b not in (0, 1):
-                raise ValidationError(f"outcome entry {b!r} is not 0/1")
-            if b == 0:
-                neg |= 1 << i
-        object.__setattr__(self, "negatives_mask", neg)
+        try:
+            raw = bytes(bits)
+        except (TypeError, ValueError):  # entries such as 1.0 or out of byte range
+            raw = bytes(0 if b == 0 else 1 if b == 1 else 2 for b in bits)
+        if raw.count(0) + raw.count(1) != len(bits):
+            bad = next(b for b in bits if b not in (0, 1))
+            raise ValidationError(f"outcome entry {bad!r} is not 0/1")
+        # bit i of the mask is row i + 1, so the last row is the first digit
+        negatives = int(raw[::-1].translate(_NEGATIVE_DIGITS), 2)
+        object.__setattr__(self, "negatives_mask", negatives)
 
     @classmethod
     def parse(cls, text: str) -> "OutcomeVector":

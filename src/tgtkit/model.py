@@ -262,11 +262,8 @@ def t0(matrix: BinaryMatrix, outcome: OutcomeVector, items: ItemSet) -> int:
         raise ValidationError(
             f"outcome has {len(outcome)} entries for a {matrix.rows}-row matrix"
         )
-    mask = items.to_mask(matrix.cols)  # validates the range
-    rows = ~0
-    m = mask
-    while m:
-        low = m & -m
-        rows &= matrix.col_masks[low.bit_length() - 1]
-        m ^= low
-    return (rows & outcome.negatives_mask).bit_count()
+    items.to_mask(matrix.cols)  # validates the range
+    rows = outcome.negatives_mask
+    for j in items:
+        rows &= matrix.col_masks[j - 1]
+    return rows.bit_count()

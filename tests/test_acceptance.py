@@ -25,6 +25,7 @@ from tgtkit import (
     build_family,
     check_envelope,
     decode,
+    decode_from_family,
     encode,
     generate_verified,
     rows_thm1,
@@ -111,20 +112,19 @@ def test_criterion_04_family_golden():
     _report(4, f"edge family is exactly the printed {len(GOLDEN_FAMILY)}-edge set")
 
 
-def _memo_decoder(matrix, params):
+def _memo_decoder(params):
     """Decode each distinct family once.
 
-    All three decoders are functions of the edge family alone (they consult
-    the outcome only through the negative co-occurrence counts that define
-    the family, including the restricted family inside algorithm 3), so
-    outcomes inducing equal families decode identically.
+    All three decoders are functions of the edge family alone
+    (:func:`decode_from_family`), so outcomes inducing equal families
+    decode identically.
     """
     cache: dict = {}
 
-    def run(outcome, family):
+    def run(family):
         key = family.edges
         if key not in cache:
-            cache[key] = tuple(decode(outcome, matrix, params, a) for a in (1, 2, 3))
+            cache[key] = tuple(decode_from_family(family, params, a) for a in (1, 2, 3))
         return cache[key]
 
     return run
@@ -164,7 +164,7 @@ def test_criterion_05_envelope_exhaustion():
     matrix = BinaryMatrix.parse(GOLDEN_TEXT)
     assert verify_disjunct(matrix, 4, 2, 1).ok
     params = TGTParams(n=6, d=4, ell=0, u=2, z=1)
-    run = _memo_decoder(matrix, params)
+    run = _memo_decoder(params)
 
     assignments = 0
     for size in (2, 3, 4):
@@ -177,7 +177,7 @@ def test_criterion_05_envelope_exhaustion():
                 )
                 fam = build_family(matrix, y, 2, 0)
                 _assert_sound_family(fam, members)
-                _assert_envelopes(s_true, run(y, fam), params, (members, bits))
+                _assert_envelopes(s_true, run(fam), params, (members, bits))
                 assignments += 1
 
     generated = generate_verified(6, 4, 2, 1, seed=2024, max_attempts=10)
@@ -230,7 +230,7 @@ def test_criterion_06_noise_tolerance():
     assert verify_disjunct(matrix, 4, 2, 3).ok
     params = TGTParams(n=6, d=4, ell=0, u=2, z=3)
     assert params.e == 1
-    run = _memo_decoder(matrix, params)
+    run = _memo_decoder(params)
     pair_rows = {
         pair: tuple(3 * idx + r for r in (1, 2, 3))
         for idx, pair in enumerate(combinations(range(1, 7), 2))
@@ -263,7 +263,7 @@ def test_criterion_06_noise_tolerance():
                 )
                 assert list(fam.edges) == predicted, (members, include)
                 _assert_sound_family(fam, members)
-                _assert_envelopes(s_true, run(y, fam), params, (members, include))
+                _assert_envelopes(s_true, run(fam), params, (members, include))
                 seen.add(fam.edges)
                 families_checked += 1
 
@@ -276,7 +276,7 @@ def test_criterion_06_noise_tolerance():
                         # decode it directly (it still must obey envelopes)
                         _assert_sound_family(fam2, members)
                         _assert_envelopes(
-                            s_true, run(y2, fam2), params, (members, include, row)
+                            s_true, run(fam2), params, (members, include, row)
                         )
                         seen.add(fam2.edges)
                     flips_checked += 1

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tgtkit import (
+    BinaryMatrix,
     FeasibilityError,
     GapPolicy,
     ItemSet,
+    OutcomeVector,
     TGTParams,
     ValidationError,
     build_family,
@@ -18,11 +24,14 @@ from tgtkit import (
     decode_alg1,
     decode_alg2,
     decode_alg3,
+    decode_from_family,
     encode,
     is_u_complete,
+    t0,
     verify_disjunct,
     w_bound,
 )
+from tgtkit.decode import _SCREEN_ROWS, _build_family_reference, _restricted_family
 
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
 
@@ -54,6 +63,73 @@ class TestBuildFamily:
     def test_lexicographic_order(self, golden_matrix, golden_outcome):
         fam = build_family(golden_matrix, golden_outcome, 2, 1)
         assert list(fam.edges) == sorted(fam.edges)
+
+    def test_matches_reference_on_golden(self, golden_matrix, golden_outcome):
+        for u in (1, 2, 3, 6):
+            for e in (0, 1, 3):
+                assert build_family(golden_matrix, golden_outcome, u, e) == (
+                    _build_family_reference(golden_matrix, golden_outcome, u, e)
+                )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        t=st.integers(1, 3000),
+        n=st.integers(1, 9),
+        u=st.integers(1, 4),
+        e=st.integers(0, 2),
+        density=st.sampled_from((0.1, 0.3, 0.6, 1.0)),
+        negative_rate=st.sampled_from((0.0, 0.002, 0.02, 0.3, 1.0)),
+        positive_head=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(t=_SCREEN_ROWS, n=6, u=3, e=1, density=0.3, negative_rate=0.02,
+             positive_head=0, seed=1)
+    @example(t=_SCREEN_ROWS + 1, n=6, u=3, e=1, density=0.3, negative_rate=0.02,
+             positive_head=_SCREEN_ROWS - 1, seed=2)
+    @example(t=3000, n=8, u=4, e=0, density=0.6, negative_rate=1.0,
+             positive_head=0, seed=3)
+    @example(t=3000, n=8, u=2, e=2, density=0.6, negative_rate=0.0,
+             positive_head=0, seed=4)
+    def test_matches_reference(
+        self, t, n, u, e, density, negative_rate, positive_head, seed
+    ):
+        # rows before positive_head are positive, so negatives can sit
+        # entirely past the screen; rate 0 and 1 give all-positive and
+        # all-negative outcomes
+        if u > n:
+            u = n
+        rng = random.Random(seed)
+        matrix = BinaryMatrix.from_bits(
+            [[int(rng.random() < density) for _ in range(n)] for _ in range(t)]
+        )
+        outcome = OutcomeVector(
+            tuple(
+                1 if i < positive_head or rng.random() >= negative_rate else 0
+                for i in range(t)
+            )
+        )
+        fam = build_family(matrix, outcome, u, e)
+        assert fam == _build_family_reference(matrix, outcome, u, e)
+        assert fam.edges == tuple(sorted(fam.edges))
+
+    def test_leaves_no_reference_cycles(self):
+        rng = random.Random(7)
+        matrix = BinaryMatrix(
+            2 * _SCREEN_ROWS,
+            12,
+            tuple(rng.getrandbits(12) for _ in range(2 * _SCREEN_ROWS)),
+        )
+        outcome = OutcomeVector(
+            tuple(int(rng.random() < 0.99) for _ in range(matrix.rows))
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            fam = build_family(matrix, outcome, 3, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert fam.edges
 
 
 class TestUComplete:
@@ -95,19 +171,51 @@ class TestGoldenDecodes:
         assert result.envelope == (1, 2)
 
     def test_alg3_restricted_family(self, golden_matrix, golden_outcome, golden_params):
-        # the refinement stage rebuilds the family on the greedy stage's
-        # vertex set {1,2,3,5}; pinned to the known 5-edge restriction
-        from tgtkit import t0
-
+        # the refinement stage filters the family to the greedy stage's
+        # vertex set {1,2,3,5}; that equals a rescan of t0 over the vertex
+        # set's pairs, the known 5-edge restriction
         vertices = decode_alg2(
             golden_outcome, golden_matrix, golden_params
         ).recovered.members
-        restricted = tuple(
+        rescan = tuple(
             pair
             for pair in combinations(vertices, 2)
             if t0(golden_matrix, golden_outcome, ItemSet.of(pair)) == 0
         )
-        assert restricted == ((1, 2), (1, 5), (2, 3), (2, 5), (3, 5))
+        assert rescan == ((1, 2), (1, 5), (2, 3), (2, 5), (3, 5))
+        fam = build_family(golden_matrix, golden_outcome, 2, 0)
+        assert _restricted_family(fam, vertices).edges == rescan
+
+    def test_restriction_equals_rescan_on_every_vertex_set(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            matrix = BinaryMatrix(40, 8, tuple(rng.getrandbits(8) for _ in range(40)))
+            outcome = OutcomeVector(tuple(rng.randint(0, 1) for _ in range(40)))
+            for u, e in ((2, 0), (2, 1), (3, 1)):
+                fam = build_family(matrix, outcome, u, e)
+                for size in range(u, 9):
+                    for vertices in combinations(range(1, 9), size):
+                        rescan = tuple(
+                            combo
+                            for combo in combinations(vertices, u)
+                            if t0(matrix, outcome, ItemSet(combo)) <= e
+                        )
+                        assert _restricted_family(fam, vertices).edges == rescan
+
+    def test_decode_from_family(self, golden_matrix, golden_outcome, golden_params):
+        fam = build_family(golden_matrix, golden_outcome, 2, 0)
+        for alg in (1, 2, 3):
+            assert decode_from_family(fam, golden_params, alg) == decode(
+                golden_outcome, golden_matrix, golden_params, alg
+            )
+        with pytest.raises(ValidationError, match="unknown algorithm"):
+            decode_from_family(fam, golden_params, 4)
+        with pytest.raises(ValidationError, match="family has u=1"):
+            decode_from_family(
+                build_family(golden_matrix, golden_outcome, 1, 0), golden_params, 1
+            )
+        with pytest.raises(FeasibilityError):
+            decode_from_family(fam, golden_params, 1, step_cap=1)
 
     def test_dispatch(self, golden_matrix, golden_outcome, golden_params):
         for alg, expected in ((1, (1, 2, 4, 5)), (2, (1, 2, 3, 5)), (3, (2, 3, 5))):
@@ -197,6 +305,32 @@ class TestNominalSizeWarnings:
     ):
         with pytest.warns(UserWarning, match="refinement decoding assumes"):
             decode_alg3(golden_outcome, golden_matrix, golden_params)
+
+    def test_each_surface_emits_the_same_notices(
+        self, golden_matrix, golden_outcome, golden_params
+    ):
+        import warnings as warnings_module
+
+        fam = build_family(golden_matrix, golden_outcome, 2, 0)
+        expected = {
+            1: [],
+            2: ["greedy decoding assumes"],
+            3: ["refinement decoding assumes", "greedy decoding assumes"],
+        }
+        wrappers = {1: decode_alg1, 2: decode_alg2, 3: decode_alg3}
+        for alg, prefixes in expected.items():
+            for call in (
+                lambda: wrappers[alg](golden_outcome, golden_matrix, golden_params),
+                lambda: decode(golden_outcome, golden_matrix, golden_params, alg),
+                lambda: decode_from_family(fam, golden_params, alg),
+            ):
+                with warnings_module.catch_warnings(record=True) as caught:
+                    warnings_module.simplefilter("always")
+                    call()
+                messages = [str(w.message) for w in caught]
+                assert len(messages) == len(prefixes), (alg, messages)
+                for message, prefix in zip(messages, prefixes):
+                    assert message.startswith(prefix), (alg, messages)
 
     def test_silent_when_conditions_hold(self):
         import warnings as warnings_module

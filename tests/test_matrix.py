@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from tgtkit import BinaryMatrix, ItemSet, OutcomeVector, ValidationError
@@ -61,6 +64,34 @@ def test_outcome_parse_and_flip():
         OutcomeVector.parse("01x0")
     with pytest.raises(ValidationError):
         OutcomeVector.parse("")
+
+
+@pytest.mark.parametrize("t", [1, 2, 63, 64, 65, 1024, 1025, 4099])
+def test_negatives_mask_matches_per_bit_reference(t):
+    rng = random.Random(t)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        bits = tuple(0 if rng.random() < density else 1 for _ in range(t))
+        reference = 0
+        for i, b in enumerate(bits):
+            if b == 0:
+                reference |= 1 << i
+        assert OutcomeVector(bits).negatives_mask == reference
+
+
+def test_outcome_entries_equal_to_0_or_1():
+    assert OutcomeVector((0, 1.0, True, False, 0.0)).negatives_mask == 0b11001
+    for bits, shown in (
+        ((0, 2), "2"),
+        ((1, 48), "48"),
+        ((0, -1), "-1"),
+        ((1, 300), "300"),
+        ((0, 0.5), "0.5"),
+        ((1, "0"), "'0'"),
+        ((0, [1]), "[1]"),
+        ((2, 3), "2"),
+    ):
+        with pytest.raises(ValidationError, match=rf"^outcome entry {re.escape(shown)} is not 0/1$"):
+            OutcomeVector(bits)
 
 
 def test_outcome_file_io(tmp_path):
