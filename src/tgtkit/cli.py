@@ -12,7 +12,10 @@ from typing import Optional, Sequence
 
 from .analysis import appendix_gap_check, complexity
 from .decode import decode
-from .disjunct import generate, generate_verified, rows_thm1, rows_thm4, rows_thm5, verify_disjunct
+from .disjunct import (
+    VERIFY_PAIR_CAP, generate, generate_verified, rows_thm1, rows_thm4, rows_thm5,
+    verify_disjunct,
+)
 from .errors import EnvelopeDefectError, TGTError, ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
 from .model import GapPolicy, NoiseSpec, TGTParams, encode
@@ -40,34 +43,6 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValidationError(f"cannot parse {what} list {text!r}") from None
-
-
-def _policy_from_args(args) -> GapPolicy:
-    if args.policy == "always_positive":
-        return GapPolicy.always_positive()
-    if args.policy == "always_negative":
-        return GapPolicy.always_negative()
-    if args.policy == "bernoulli":
-        return GapPolicy.bernoulli(args.bernoulli_p, seed=args.policy_seed)
-    overrides = {}
-    if args.policy_rows:
-        for tok in args.policy_rows.split(","):
-            if ":" not in tok:
-                raise ValidationError(f"bad --policy-rows entry {tok!r}")
-            row, _, bit = tok.partition(":")
-            try:
-                overrides[int(row)] = int(bit)
-            except ValueError:
-                raise ValidationError(f"bad --policy-rows entry {tok!r}") from None
-    return GapPolicy.explicit(overrides)
-
-
-def _noise_from_args(args) -> NoiseSpec:
-    if args.noise == "none":
-        return NoiseSpec.none()
-    if args.noise == "flip_rows":
-        return NoiseSpec.flip_rows(_int_list(args.noise_rows or "", "noise row"))
-    return NoiseSpec.random_flips(args.noise_count, seed=args.noise_seed)
 
 
 def _cmd_gen(args) -> int:
@@ -124,10 +99,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_encode(args) -> int:
     matrix = BinaryMatrix.load(args.matrix)
     defectives = ItemSet.parse(args.defectives)
-    outcome = encode(
-        matrix, defectives, args.ell, args.u,
-        _policy_from_args(args), _noise_from_args(args),
+    policy = GapPolicy.from_settings(
+        args.policy, args.bernoulli_p, args.policy_rows, args.policy_seed,
+        label="--policy-rows",
     )
+    noise = NoiseSpec.from_settings(
+        args.noise, args.noise_rows, args.noise_count, args.noise_seed,
+        label="--noise-rows",
+    )
+    outcome = encode(matrix, defectives, args.ell, args.u, policy, noise)
     if args.out == "-":
         sys.stdout.write(outcome.to_text())
     else:
@@ -218,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--cap", type=int, default=100_000_000)
+    p.add_argument("--cap", type=int, default=VERIFY_PAIR_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="row-count bounds for all three schemes")
@@ -234,15 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated 1-based items (empty for none)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
-    p.add_argument("--policy", required=True,
-                   choices=("always_positive", "always_negative", "bernoulli",
-                            "explicit"))
+    p.add_argument("--policy", required=True, choices=GapPolicy.KINDS)
     p.add_argument("--bernoulli-p", type=float, default=0.5)
     p.add_argument("--policy-seed", type=int, default=0)
     p.add_argument("--policy-rows", default="",
                    help="explicit overrides, e.g. 2:1,5:0")
-    p.add_argument("--noise", choices=("none", "flip_rows", "random_flips"),
-                   default="none")
+    p.add_argument("--noise", choices=NoiseSpec.KINDS, default="none")
     p.add_argument("--noise-rows", default="")
     p.add_argument("--noise-count", type=int, default=0)
     p.add_argument("--noise-seed", type=int, default=0)

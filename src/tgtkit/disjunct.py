@@ -154,31 +154,46 @@ def _int_from_ln(ln_value: float, mode: str) -> int:
     return digits * 10 ** (exp10 - 15)
 
 
-def rows_thm1_value(n: int, d: int, u: int, z: int) -> float:
-    """Pre-ceiling value of the classical bound (float; may be ``inf``)."""
-    params = BoundParams(n, d, u, z)
-    k = params.k
+def _round_rows(ln_value: float, value: float, mode: str) -> int:
+    """Ceiling or floor of a bound, taken from its log past the double range."""
+    if math.isfinite(value):
+        return math.ceil(value) if mode == "ceil" else math.floor(value)
+    return _int_from_ln(ln_value, mode)
+
+
+def _thm1(params: BoundParams) -> tuple[float, float]:
+    """``(ln value, value)`` of the classical bound (``inf`` past doubles)."""
+    n, d, u, z, k = params.n, params.d, params.u, params.z, params.k
     bracket = 1.0 + k * (1.0 + math.log(n / k + 1.0))
     ln_total = (
         math.log(z) + u * math.log(k / u) + d * math.log(k / d) + math.log(bracket)
     )
     if ln_total >= 700.0:
-        return math.inf
-    return z * (k / u) ** u * (k / d) ** d * bracket
+        return ln_total, math.inf
+    return ln_total, z * (k / u) ** u * (k / d) ** d * bracket
+
+
+def _randomized(params: BoundParams, numerator: float, delta: float) -> tuple[float, float]:
+    """``(ln value, value)`` of ``numerator / (delta^2 q)`` (``inf`` past doubles)."""
+    ln_h = math.log(numerator) - 2.0 * math.log(delta) - params.ln_q
+    if ln_h >= 700.0:
+        return ln_h, math.inf
+    return ln_h, numerator / (delta * delta) * math.exp(-params.ln_q)
+
+
+def _thm4(params: BoundParams) -> tuple[float, float]:
+    a = params.alpha
+    return _randomized(params, 3.0 * a, delta_thm4(a, params.z))
+
+
+def rows_thm1_value(n: int, d: int, u: int, z: int) -> float:
+    """Pre-ceiling value of the classical bound (float; may be ``inf``)."""
+    return _thm1(BoundParams(n, d, u, z))[1]
 
 
 def rows_thm1(n: int, d: int, u: int, z: int) -> int:
     """Row count of the classical ``(n, d, u; z]``-disjunct construction."""
-    params = BoundParams(n, d, u, z)
-    value = rows_thm1_value(n, d, u, z)
-    if math.isfinite(value):
-        return math.ceil(value)
-    k = params.k
-    bracket = 1.0 + k * (1.0 + math.log(n / k + 1.0))
-    ln_total = (
-        math.log(z) + u * math.log(k / u) + d * math.log(k / d) + math.log(bracket)
-    )
-    return _int_from_ln(ln_total, "ceil")
+    return _round_rows(*_thm1(BoundParams(n, d, u, z)), "ceil")
 
 
 def _check_thm4_preconditions(params: BoundParams) -> None:
@@ -194,13 +209,7 @@ def _check_thm4_preconditions(params: BoundParams) -> None:
 
 def rows_thm4_value(n: int, d: int, u: int, z: int) -> float:
     """Pre-ceiling value ``3 alpha / (delta^2 q)`` (float; may be ``inf``)."""
-    params = BoundParams(n, d, u, z)
-    a = params.alpha
-    delta = delta_thm4(a, z)
-    ln_h = math.log(3.0 * a) - 2.0 * math.log(delta) - params.ln_q
-    if ln_h >= 700.0:
-        return math.inf
-    return 3.0 * a / (delta * delta) * math.exp(-params.ln_q)
+    return _thm4(BoundParams(n, d, u, z))[1]
 
 
 def rows_thm4(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
@@ -214,13 +223,7 @@ def rows_thm4(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
     params = BoundParams(n, d, u, z)
     if strict:
         _check_thm4_preconditions(params)
-    value = rows_thm4_value(n, d, u, z)
-    if math.isfinite(value):
-        return math.ceil(value)
-    a = params.alpha
-    delta = delta_thm4(a, z)
-    ln_h = math.log(3.0 * a) - 2.0 * math.log(delta) - params.ln_q
-    return _int_from_ln(ln_h, "ceil")
+    return _round_rows(*_thm4(params), "ceil")
 
 
 def thm5_min_z(n: int, d: int, u: int) -> float:
@@ -236,11 +239,7 @@ def rows_thm5_value(n: int, d: int, u: int, z: int) -> float:
     """Pre-floor value ``2 alpha / (delta^2 q)`` (float; may be ``inf``)."""
     params = BoundParams(n, d, u, z)
     a = params.alpha
-    delta = delta_thm5(a, z)
-    ln_h = math.log(2.0 * a) - 2.0 * math.log(delta) - params.ln_q
-    if ln_h >= 700.0:
-        return math.inf
-    return 2.0 * a / (delta * delta) * math.exp(-params.ln_q)
+    return _randomized(params, 2.0 * a, delta_thm5(a, z))[1]
 
 
 def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
@@ -266,11 +265,7 @@ def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
             f"the strict bound's guarantee does not apply",
             stacklevel=2,
         )
-    value = rows_thm5_value(n, d, u, z)
-    if math.isfinite(value):
-        return math.floor(value) + 1
-    ln_h = math.log(2.0 * a) - 2.0 * math.log(delta) - params.ln_q
-    return _int_from_ln(ln_h, "floor") + 1
+    return _round_rows(*_randomized(params, 2.0 * a, delta), "floor") + 1
 
 
 def _sample_row_masks(rng: random.Random, rows: int, n: int, p: float) -> tuple[int, ...]:
@@ -283,6 +278,22 @@ def _sample_row_masks(rng: random.Random, rows: int, n: int, p: float) -> tuple[
                 mask |= 1 << j
         masks.append(mask)
     return tuple(masks)
+
+
+def _check_entry_budget(rows: int, n: int) -> None:
+    if rows * n > GENERATION_ENTRY_BUDGET:
+        raise FeasibilityError(
+            f"refusing to sample a {rows} x {n} matrix "
+            f"({rows * n} entries > budget {GENERATION_ENTRY_BUDGET})"
+        )
+
+
+def _check_pair_cap(n: int, d: int, r: int, pair_cap: int) -> None:
+    pairs = math.comb(n, r) * math.comb(n - r, d)
+    if pairs > pair_cap:
+        raise FeasibilityError(
+            f"verification would enumerate {pairs} pairs > cap {pair_cap}"
+        )
 
 
 def generate(
@@ -310,11 +321,7 @@ def generate(
         else:
             rows = rows_thm5(n, d, u, z, strict=False)
     _require_int("rows", rows)
-    if rows * n > GENERATION_ENTRY_BUDGET:
-        raise FeasibilityError(
-            f"refusing to sample a {rows} x {n} matrix "
-            f"({rows * n} entries > budget {GENERATION_ENTRY_BUDGET})"
-        )
+    _check_entry_budget(rows, n)
     rng = random.Random(seed)
     return BinaryMatrix(rows, n, _sample_row_masks(rng, rows, n, params.p))
 
@@ -357,11 +364,7 @@ def verify_disjunct(
     n = matrix.cols
     if d + r > n:
         raise ValidationError(f"need d + r <= n, got d={d} r={r} n={n}")
-    pairs = math.comb(n, r) * math.comb(n - r, d)
-    if pairs > pair_cap:
-        raise FeasibilityError(
-            f"verification would enumerate {pairs} pairs > cap {pair_cap}"
-        )
+    _check_pair_cap(n, d, r, pair_cap)
     cols = matrix.col_masks
     full = (1 << matrix.rows) - 1
     for s2 in combinations(range(n), r):
@@ -427,16 +430,8 @@ def generate_verified(
     if rows is None:
         rows = rows_thm4(n, d, u, z, strict=False)
     _require_int("rows", rows)
-    pairs = math.comb(n, u) * math.comb(n - u, d)
-    if pairs > pair_cap:
-        raise FeasibilityError(
-            f"verification would enumerate {pairs} pairs > cap {pair_cap}"
-        )
-    if rows * n > GENERATION_ENTRY_BUDGET:
-        raise FeasibilityError(
-            f"refusing to sample a {rows} x {n} matrix "
-            f"({rows * n} entries > budget {GENERATION_ENTRY_BUDGET})"
-        )
+    _check_pair_cap(n, d, u, pair_cap)
+    _check_entry_budget(rows, n)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         matrix = BinaryMatrix(rows, n, _sample_row_masks(rng, rows, n, params.p))

@@ -77,6 +77,31 @@ class TGTParams:
         return (self.d + self.u) ** 2 <= self.n * self.u
 
 
+def _parse_rows(text: str, label: str, with_bits: bool) -> tuple:
+    """Parse ``row,...`` (or ``row:bit,...`` when ``with_bits``) into a tuple
+    sorted by row.  An empty text is no rows; rows are 1-based and may not
+    repeat.  Error messages name the setting through ``label``."""
+    entries = []
+    seen: set[int] = set()
+    for tok in text.split(",") if text.strip() else ():
+        try:
+            if with_bits:
+                row_text, _, bit_text = tok.partition(":")
+                row = int(row_text)
+                entry = (row, int(bit_text))
+            else:
+                row = entry = int(tok)
+        except ValueError:
+            raise ValidationError(f"bad {label} entry {tok!r}") from None
+        if row < 1:
+            raise ValidationError(f"{label} row {row} is not 1-based")
+        if row in seen:
+            raise ValidationError(f"{label} lists row {row} twice")
+        seen.add(row)
+        entries.append(entry)
+    return tuple(sorted(entries))
+
+
 @dataclass(frozen=True)
 class GapPolicy:
     """Rule resolving outcomes of pools whose defective count is in the gap."""
@@ -86,16 +111,24 @@ class GapPolicy:
     seed: int = 0
     overrides: tuple[tuple[int, int], ...] = ()
 
-    _KINDS = ("always_positive", "always_negative", "bernoulli", "explicit")
+    KINDS = ("always_positive", "always_negative", "bernoulli", "explicit")
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValidationError(f"unknown gap policy {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"bernoulli p must be in [0, 1], got {self.p}")
         for row, bit in self.overrides:
             if bit not in (0, 1):
                 raise ValidationError(f"override for row {row} must be 0/1")
+
+    @classmethod
+    def from_settings(cls, kind: str, p: float = 0.5, rows_text: str = "", seed: int = 0,
+                      label: str = "policy_rows") -> "GapPolicy":
+        """Policy from the settings shared by the CLI and spec files, with the
+        ``explicit`` overrides as ``row:bit,...`` text (named ``label`` in
+        errors).  Every setting is checked, whether or not ``kind`` uses it."""
+        return cls(kind, p=p, seed=seed, overrides=_parse_rows(rows_text, label, True))
 
     @classmethod
     def always_positive(cls) -> "GapPolicy":
@@ -123,13 +156,21 @@ class NoiseSpec:
     count: int = 0
     seed: int = 0
 
-    _KINDS = ("none", "flip_rows", "random_flips")
+    KINDS = ("none", "flip_rows", "random_flips")
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValidationError(f"unknown noise spec {self.kind!r}")
         if self.count < 0:
             raise ValidationError("flip count must be non-negative")
+
+    @classmethod
+    def from_settings(cls, kind: str, rows_text: str = "", count: int = 0, seed: int = 0,
+                      label: str = "noise_rows") -> "NoiseSpec":
+        """Noise from the settings shared by the CLI and spec files, with the
+        ``flip_rows`` rows as ``row,...`` text (named ``label`` in errors).
+        Every setting is checked, whether or not ``kind`` uses it."""
+        return cls(kind, rows=_parse_rows(rows_text, label, False), count=count, seed=seed)
 
     @classmethod
     def none(cls) -> "NoiseSpec":

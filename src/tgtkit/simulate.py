@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -133,8 +133,6 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 # experiments
 
 
-_POLICY_KINDS = ("always_positive", "always_negative", "bernoulli", "explicit")
-_NOISE_KINDS = ("none", "flip_rows", "random_flips")
 _GEN_KINDS = ("thm4", "thm5", "verified")
 
 _EXPERIMENT_KEYS = {
@@ -154,14 +152,22 @@ class ExperimentSpec:
     Required keys: ``n d ell u z algorithm trials seed`` and one of
     ``matrix=<path>`` / ``generate=thm4|thm5|verified``; defectives come
     either from ``defectives=<comma list>`` or ``s_size=<int>`` (a fresh
-    random size-``s`` set per trial).  ``policy`` is one of
-    ``always_positive``, ``always_negative``, ``bernoulli`` (with optional
-    ``bernoulli_p``), or ``explicit`` with ``policy_rows=row:bit,...``.
-    ``noise`` is ``none`` (default), ``flip_rows`` with ``noise_rows``, or
-    ``random_flips`` with ``noise_count``.  ``verified=true`` asserts the
-    matrix is disjunct, so an envelope failure is a defect; it is implied
-    by ``generate=verified``.  Bernoulli-policy and random-noise seeds are
-    derived per trial from ``seed``.
+    random size-``s`` set per trial).  ``verified=true`` asserts the matrix
+    is disjunct, so an envelope failure is a defect; it is implied by
+    ``generate=verified``.
+
+    Gap policy and noise (built by :meth:`GapPolicy.from_settings` and
+    :meth:`NoiseSpec.from_settings`, the same builders the CLI uses):
+    ``policy`` is ``always_positive``, ``always_negative`` (default),
+    ``bernoulli`` with ``bernoulli_p`` (default 0.5), or ``explicit`` with
+    ``policy_rows=row:bit,...`` giving every gap row a value; ``explicit``
+    needs ``defectives=``, since fixed rows cannot cover the gap rows of
+    random sets.  ``noise`` is ``none`` (default), ``flip_rows`` with
+    ``noise_rows=row,...``, or ``random_flips`` with ``noise_count``.
+    Rows are 1-based and a row listed twice is an error.  Every setting is
+    checked at parse time, whether or not its kind uses it.  The
+    Bernoulli-policy and random-noise seeds are derived per trial from
+    ``seed``.
     """
 
     params: TGTParams
@@ -174,12 +180,8 @@ class ExperimentSpec:
     max_attempts: int = 100
     defectives: Optional[ItemSet] = None
     s_size: Optional[int] = None
-    policy_kind: str = "always_negative"
-    bernoulli_p: float = 0.5
-    policy_rows: tuple[tuple[int, int], ...] = ()
-    noise_kind: str = "none"
-    noise_rows: tuple[int, ...] = ()
-    noise_count: int = 0
+    policy: GapPolicy = GapPolicy.always_negative()
+    noise: NoiseSpec = NoiseSpec.none()
     verified: bool = False
 
     def __post_init__(self) -> None:
@@ -201,10 +203,11 @@ class ExperimentSpec:
             raise ValidationError(
                 f"s_size must be in 1..d={self.params.d}, got {self.s_size}"
             )
-        if self.policy_kind not in _POLICY_KINDS:
-            raise ValidationError(f"unknown policy {self.policy_kind!r}")
-        if self.noise_kind not in _NOISE_KINDS:
-            raise ValidationError(f"unknown noise {self.noise_kind!r}")
+        if self.policy.kind == "explicit" and self.s_size is not None:
+            raise ValidationError(
+                "policy=explicit needs defectives=<items>: its fixed rows cannot "
+                "cover the gap rows of the random sets that s_size= draws"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentSpec":
@@ -241,20 +244,6 @@ class ExperimentSpec:
             u=as_int("u", need("u")),
             z=as_int("z", need("z")),
         )
-        policy_rows: tuple[tuple[int, int], ...] = ()
-        if "policy_rows" in kv and kv["policy_rows"]:
-            pairs = []
-            for tok in kv["policy_rows"].split(","):
-                if ":" not in tok:
-                    raise ValidationError(f"bad policy_rows entry {tok!r}")
-                row, _, bit = tok.partition(":")
-                pairs.append((as_int("policy_rows", row), as_int("policy_rows", bit)))
-            policy_rows = tuple(sorted(pairs))
-        noise_rows: tuple[int, ...] = ()
-        if "noise_rows" in kv and kv["noise_rows"]:
-            noise_rows = tuple(
-                sorted(as_int("noise_rows", tok) for tok in kv["noise_rows"].split(","))
-            )
         verified = kv.get("verified", "").lower() in ("true", "1", "yes")
         if kv.get("generate") == "verified":
             verified = True
@@ -273,12 +262,14 @@ class ExperimentSpec:
             max_attempts=as_int("max_attempts", kv.get("max_attempts", "100")),
             defectives=ItemSet.parse(kv["defectives"]) if "defectives" in kv else None,
             s_size=as_int("s_size", kv["s_size"]) if "s_size" in kv else None,
-            policy_kind=kv.get("policy", "always_negative"),
-            bernoulli_p=bernoulli_p,
-            policy_rows=policy_rows,
-            noise_kind=kv.get("noise", "none"),
-            noise_rows=noise_rows,
-            noise_count=as_int("noise_count", kv.get("noise_count", "0")),
+            policy=GapPolicy.from_settings(
+                kv.get("policy", "always_negative"), bernoulli_p,
+                kv.get("policy_rows", ""), label="policy_rows",
+            ),
+            noise=NoiseSpec.from_settings(
+                kv.get("noise", "none"), kv.get("noise_rows", ""),
+                as_int("noise_count", kv.get("noise_count", "0")), label="noise_rows",
+            ),
             verified=verified,
         )
 
@@ -412,22 +403,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             picker = random.Random(sample_seed)
             defectives = ItemSet.of(picker.sample(range(1, p.n + 1), spec.s_size))
 
-        if spec.policy_kind == "bernoulli":
-            policy = GapPolicy.bernoulli(spec.bernoulli_p, seed=policy_seed)
-        elif spec.policy_kind == "explicit":
-            policy = GapPolicy.explicit(dict(spec.policy_rows))
-        elif spec.policy_kind == "always_positive":
-            policy = GapPolicy.always_positive()
-        else:
-            policy = GapPolicy.always_negative()
-
-        if spec.noise_kind == "none":
-            noise = NoiseSpec.none()
-        elif spec.noise_kind == "flip_rows":
-            noise = NoiseSpec.flip_rows(spec.noise_rows)
-        else:
-            noise = NoiseSpec.random_flips(spec.noise_count, seed=noise_seed)
-
+        policy = replace(spec.policy, seed=policy_seed)
+        noise = replace(spec.noise, seed=noise_seed)
         outcome = encode(matrix, defectives, p.ell, p.u, policy, noise)
         result = decode(outcome, matrix, p, spec.algorithm)
         report = check_envelope(defectives, result.recovered, spec.algorithm, p)

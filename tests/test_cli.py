@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from tgtkit.cli import main
+from tgtkit.cli import build_parser, main
+from tgtkit.disjunct import VERIFY_PAIR_CAP
 
 from conftest import GOLDEN_OUTCOME, GOLDEN_TEXT
 
@@ -84,6 +85,20 @@ class TestEncodeCommand:
         assert out_path.read_text() == "0" * 20 + "\n"
 
 
+    def test_duplicated_row_rejected(self, capsys, golden_files):
+        matrix, _ = golden_files
+        encode = ("encode", "--matrix", matrix, "--defectives", "1,2,4,5",
+                  "--ell", 0, "--u", 2)
+        code, out, err = run(capsys, *encode, "--policy", "explicit",
+                             "--policy-rows", "2:1,2:0")
+        assert (code, out) == (1, "")
+        assert "--policy-rows lists row 2 twice" in err
+        code, out, err = run(capsys, *encode, "--policy", "always_negative",
+                             "--noise", "flip_rows", "--noise-rows", "4,4")
+        assert (code, out) == (1, "")
+        assert "--noise-rows lists row 4 twice" in err
+
+
 class TestGenVerifyBounds:
     def test_gen_writes_parseable_matrix(self, capsys, tmp_path):
         out = tmp_path / "g.txt"
@@ -124,6 +139,12 @@ class TestGenVerifyBounds:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_verify_cap_default_is_the_library_cap(self):
+        args = build_parser().parse_args(
+            ["verify", "--matrix", "m.txt", "--d", "1", "--r", "1", "--z", "1"]
+        )
+        assert args.cap == VERIFY_PAIR_CAP
 
     def test_verify_pass_and_fail(self, capsys, golden_files, tmp_path):
         matrix, _ = golden_files

@@ -24,6 +24,7 @@ from tgtkit import (
     rows_thm4,
     rows_thm4_value,
     rows_thm5,
+    rows_thm5_value,
     thm5_min_z,
     verify_disjunct,
 )
@@ -145,6 +146,17 @@ class TestRowCounts:
         big = rows_thm1(10**11, 900, 200, 101)
         assert big > 10**200
         assert rows_thm4(10**11, 900, 200, 101) < big
+
+    def test_log_domain_fallback_pinned(self):
+        # ~358 decimal digits: all three calculators leave the double range
+        # and round through the 16-digit log-domain mantissa
+        args = (10**11, 1500, 300, 101)
+        assert math.isinf(rows_thm1_value(*args))
+        assert math.isinf(rows_thm4_value(*args))
+        assert math.isinf(rows_thm5_value(*args))
+        assert rows_thm1(*args) == 5646351892742811 * 10**343
+        assert rows_thm4(*args) == 1721849047851277 * 10**342
+        assert rows_thm5(*args) == 1149008411769428 * 10**342 + 1
 
     def test_bound_params_validation(self):
         with pytest.raises(ValidationError):
@@ -270,6 +282,18 @@ class TestGenerateVerified:
     def test_infeasible_size_rejected(self):
         with pytest.raises(FeasibilityError):
             generate_verified(10**6, 18, 4, 3, seed=0)
+
+    def test_cap_messages(self):
+        with pytest.raises(
+            FeasibilityError, match=r"^verification would enumerate 3150 pairs > cap 10$"
+        ):
+            generate_verified(10, 4, 2, 1, seed=0, pair_cap=10)
+        with pytest.raises(
+            FeasibilityError,
+            match=r"^refusing to sample a 40000000 x 6 matrix "
+            r"\(240000000 entries > budget 200000000\)$",
+        ):
+            generate_verified(6, 4, 2, 1, seed=0, rows=40_000_000)
 
     def test_attempt_budget_exhausted(self):
         # 4 rows can never hold all 15 pair pools of a (6,4,2;1] design

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +131,61 @@ class TestEncode:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestSettingsBuilders:
+    def test_builders_match_constructors(self):
+        assert GapPolicy.from_settings("always_positive") == GapPolicy.always_positive()
+        assert GapPolicy.from_settings("bernoulli", 0.3, seed=4) == GapPolicy.bernoulli(
+            0.3, seed=4
+        )
+        assert GapPolicy.from_settings("explicit", rows_text="5:0, 2:1") == (
+            GapPolicy.explicit({2: 1, 5: 0})
+        )
+        assert NoiseSpec.from_settings("none") == NoiseSpec.none()
+        assert NoiseSpec.from_settings("flip_rows", "20,1") == NoiseSpec.flip_rows([1, 20])
+        assert NoiseSpec.from_settings("random_flips", count=3, seed=9) == (
+            NoiseSpec.random_flips(3, seed=9)
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2:1,2:0", "--rows lists row 2 twice"),
+            ("2", "bad --rows entry '2'"),
+            ("2:1,", "bad --rows entry ''"),
+            ("2:1:0", "bad --rows entry '2:1:0'"),
+            ("0:1", "--rows row 0 is not 1-based"),
+            ("2:2", "override for row 2 must be 0/1"),
+        ],
+    )
+    def test_bad_policy_rows(self, text, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            GapPolicy.from_settings("explicit", rows_text=text, label="--rows")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3,1,3", "--rows lists row 3 twice"),
+            ("1:0", "bad --rows entry '1:0'"),
+            ("-1", "--rows row -1 is not 1-based"),
+        ],
+    )
+    def test_bad_noise_rows(self, text, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            NoiseSpec.from_settings("flip_rows", text, label="--rows")
+
+    def test_every_setting_is_checked_whatever_the_kind(self):
+        with pytest.raises(ValidationError, match="bernoulli p"):
+            GapPolicy.from_settings("always_negative", p=1.5)
+        with pytest.raises(ValidationError, match="twice"):
+            GapPolicy.from_settings("bernoulli", rows_text="1:1,1:1")
+        with pytest.raises(ValidationError, match="non-negative"):
+            NoiseSpec.from_settings("none", count=-1)
+        with pytest.raises(ValidationError, match="unknown gap policy"):
+            GapPolicy.from_settings("sometimes")
+        with pytest.raises(ValidationError, match="unknown noise"):
+            NoiseSpec.from_settings("loud")
 
 
 class TestCheckConsistency:

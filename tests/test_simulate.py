@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import random
+import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgtkit import (
+    BinaryMatrix,
     EnvelopeDefectError,
     ExperimentSpec,
+    GapPolicy,
+    ItemSet,
+    NoiseSpec,
+    OutcomeVector,
     SweepSpec,
     ValidationError,
+    decode,
+    encode,
     rows_thm1,
     rows_thm4,
     rows_thm5,
@@ -18,6 +33,7 @@ from tgtkit import (
     simulate_bounds,
     sweep_to_csv,
 )
+from tgtkit.cli import main
 from tgtkit.simulate import ell_rule, u_rule
 
 from conftest import GOLDEN_TEXT
@@ -126,7 +142,7 @@ class TestExperimentSpec:
         spec = ExperimentSpec.parse(GOLDEN_SPEC.format(matrix=golden_file))
         assert spec.params.n == 6 and spec.algorithm == 1
         assert spec.defectives.members == (1, 2, 4, 5)
-        assert spec.policy_kind == "explicit"
+        assert spec.policy.kind == "explicit"
         assert spec.verified
 
     def test_unknown_key_rejected(self):
@@ -155,6 +171,103 @@ class TestExperimentSpec:
             ExperimentSpec.parse(base)
 
 
+    def test_duplicated_policy_row_rejected(self, golden_file):
+        text = GOLDEN_SPEC.format(matrix=golden_file).replace(
+            "policy_rows=2:1,", "policy_rows=2:1,2:0,"
+        )
+        with pytest.raises(ValidationError, match="policy_rows lists row 2 twice"):
+            ExperimentSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "settings_text, message",
+        [
+            ("defectives=1,2\npolicy=bernoulli\nbernoulli_p=2\n", "bernoulli p"),
+            ("defectives=1,2\nnoise=random_flips\nnoise_count=-1\n", "non-negative"),
+            ("defectives=1,2\npolicy=explicit\npolicy_rows=1:7\n", "row 1 must be 0/1"),
+            ("s_size=2\npolicy=explicit\npolicy_rows=1:1\n", "needs defectives="),
+        ],
+    )
+    def test_bad_policy_or_noise_fails_at_parse(self, settings_text, message):
+        # trials=0: nothing runs, so only parsing can catch these
+        base = "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\ngenerate=thm4\n"
+        with pytest.raises(ValidationError, match=message):
+            ExperimentSpec.parse(base + settings_text)
+
+    def test_readme_example_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text[text.index("### File formats"):]
+        block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+        spec = ExperimentSpec.parse(block)
+        assert spec.params.n == 12 and spec.s_size == 3
+        assert spec.policy == GapPolicy.bernoulli()
+
+
+_ROWS_TEXT = st.one_of(
+    st.lists(st.tuples(st.integers(-1, 22), st.integers(-1, 2)), max_size=5).map(
+        lambda pairs: ",".join(f"{row}:{bit}" for row, bit in pairs)
+    ),
+    st.lists(st.integers(-1, 22), max_size=5).map(lambda rows: ",".join(map(str, rows))),
+    st.text(alphabet="0123456789:, x-", max_size=8),
+)
+
+_POLICY_AND_NOISE = st.fixed_dictionaries(
+    {"policy": st.sampled_from(GapPolicy.KINDS + ("sometimes",))},
+    optional={
+        "bernoulli_p": st.one_of(
+            st.floats(-0.5, 1.5).map(str), st.sampled_from(["nan", "inf", "lots", ""])
+        ),
+        "policy_rows": _ROWS_TEXT,
+        "noise": st.sampled_from(NoiseSpec.KINDS + ("loud",)),
+        "noise_rows": _ROWS_TEXT,
+        "noise_count": st.one_of(
+            st.integers(-3, 30).map(str), st.sampled_from(["x", ""])
+        ),
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def golden_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "golden.txt"
+    path.write_text(GOLDEN_TEXT)
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLICY_AND_NOISE)
+def test_spec_and_cli_build_the_same_policy_and_noise(golden_path, values):
+    text = (
+        "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=1\nseed=0\n"
+        f"matrix={golden_path}\ndefectives=1,2,4,5\n"
+        + "".join(f"{key}={value}\n" for key, value in values.items())
+    )
+    try:
+        spec = ExperimentSpec.parse(text)
+    except ValidationError:
+        spec = None
+
+    built = []
+
+    def fake_encode(matrix, defectives, ell, u, policy, noise):
+        built.append((policy, noise))
+        return OutcomeVector((0,) * matrix.rows)
+
+    argv = ["encode", "--matrix", str(golden_path), "--defectives", "1,2,4,5",
+            "--ell", "0", "--u", "2"]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    with mock.patch("tgtkit.cli.encode", fake_encode), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+
+    if spec is None:
+        assert (code, built) == (1, [])
+    else:
+        assert code == 0
+        assert built == [(spec.policy, spec.noise)]
+
+
 class TestRunExperiment:
     def test_golden_replay(self, golden_file):
         spec = ExperimentSpec.parse(GOLDEN_SPEC.format(matrix=golden_file))
@@ -176,6 +289,27 @@ class TestRunExperiment:
     def test_deterministic(self, golden_file):
         spec = ExperimentSpec.parse(GOLDEN_SPEC.format(matrix=golden_file))
         assert run_experiment(spec).to_text() == run_experiment(spec).to_text()
+
+    def test_trials_replay_from_derived_seeds(self, golden_file):
+        # each trial draws sample, policy and noise seeds from seed, in that
+        # order, and runs the spec's policy and noise under those seeds
+        text = (
+            "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=12\nseed=8\n"
+            f"matrix={golden_file}\ns_size=3\npolicy=bernoulli\nbernoulli_p=0.3\n"
+            "noise=random_flips\nnoise_count=2\n"
+        )
+        spec = ExperimentSpec.parse(text)
+        matrix = BinaryMatrix.parse(GOLDEN_TEXT)
+        master = random.Random(8)
+        for trial in run_experiment(spec).trials:
+            sample_seed, policy_seed, noise_seed = (master.randrange(2**32) for _ in range(3))
+            picked = random.Random(sample_seed).sample(range(1, 7), 3)
+            outcome = encode(
+                matrix, ItemSet.of(picked), 0, 2, GapPolicy.bernoulli(0.3, seed=policy_seed),
+                NoiseSpec.random_flips(2, seed=noise_seed),
+            )
+            assert trial.defectives == ItemSet.of(picked)
+            assert trial.recovered == decode(outcome, matrix, spec.params, 1).recovered
 
     def test_monte_carlo_on_verified_matrix(self):
         # fresh verified design each run; random defective sets; random gaps
