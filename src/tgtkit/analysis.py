@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .decode import w_bound
 from .disjunct import rows_thm1, rows_thm4
 from .errors import ValidationError
+from .model import TGTParams
 
 FORMULA_IDS = ("thm3", "thm6", "thm7", "thm8")
 
@@ -57,13 +58,7 @@ def complexity(
     """
     if formula not in FORMULA_IDS:
         raise ValidationError(f"unknown formula {formula!r} (expected {FORMULA_IDS})")
-    if not 0 <= ell < u <= d < n:
-        raise ValidationError(
-            f"need 0 <= ell < u <= d < n, got ell={ell} u={u} d={d} n={n}"
-        )
-    if z < 1:
-        raise ValidationError(f"z must be >= 1, got {z}")
-    g = u - ell - 1
+    g = TGTParams(n, d, ell, u, z).g
     if s_size is None:
         s_size = d
     if not 0 <= s_size <= d:

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 from .errors import FeasibilityError, ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
-from .model import TGTParams, t0
+from .model import TGTParams, _check_outcome_length, t0
 
 #: default cap on family construction (number of u-subsets enumerated)
 FAMILY_SUBSET_CAP = 10_000_000
@@ -109,10 +109,7 @@ def build_family(
         raise ValidationError(f"u must be >= 1, got {u}")
     if e < 0:
         raise ValidationError(f"e must be >= 0, got {e}")
-    if len(outcome) != matrix.rows:
-        raise ValidationError(
-            f"outcome has {len(outcome)} entries for a {matrix.rows}-row matrix"
-        )
+    _check_outcome_length(matrix, outcome)
     n = matrix.cols
     if u > n:
         raise ValidationError(f"u={u} exceeds the number of items {n}")

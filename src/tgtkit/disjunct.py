@@ -372,20 +372,6 @@ def verify_disjunct(
         for j in s2:
             ones &= cols[j]
         rest = [j for j in range(n) if j not in s2]
-        if ones.bit_count() < z:
-            # no zeros-set can help; the first one is the lex-first witness
-            s1 = tuple(rest[:d])
-            covered = ones
-            for j in s1:
-                covered &= ~cols[j]
-            return VerifyResult(
-                False,
-                DisjunctWitness(
-                    ones_set=ItemSet.of(j + 1 for j in s2),
-                    zeros_set=ItemSet.of(j + 1 for j in s1),
-                    covered_rows=covered.bit_count(),
-                ),
-            )
         for s1 in combinations(rest, d):
             covered = ones
             for j in s1:

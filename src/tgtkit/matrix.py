@@ -11,8 +11,9 @@ Conventions used across the package:
 Text formats (used by the CLI and by experiment specs):
 
 * matrix file: first line ``"t n"``, then ``t`` lines of ``n`` characters
-  from ``{0, 1}``;
-* outcome file: a single line of ``t`` characters from ``{0, 1}``;
+  from ``{0, 1}``, character ``j`` of a row being item ``j``;
+* outcome file: a single line of ``t`` characters from ``{0, 1}``,
+  character ``i`` being test ``i``;
 * item set: comma-separated 1-based indices, empty string for the empty set.
 """
 
@@ -23,6 +24,17 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
+
+
+def _digits_to_mask(digits: str | bytes) -> int:
+    """Mask whose bit ``j`` is digit ``j``; only for text checked to be 0/1,
+    as ``int(..., 2)`` also takes ``_``, spaces, a sign and a ``0b`` prefix."""
+    return int(digits[::-1], 2)
+
+
+def _mask_to_digits(mask: int, width: int) -> str:
+    """The ``width`` digits of a mask below ``2**width``, bit ``j`` first."""
+    return format(mask, f"0{width}b")[::-1]
 
 
 def _mask_from_indices(indices: Iterable[int], size: int, what: str) -> int:
@@ -69,14 +81,10 @@ class ItemSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "ItemSet":
-        items = []
-        j = 1
-        while mask:
-            if mask & 1:
-                items.append(j)
-            mask >>= 1
-            j += 1
-        return cls(tuple(items))
+        if mask < 0:
+            raise ValidationError(f"item mask {mask} is negative")
+        digits = _mask_to_digits(mask, mask.bit_length())
+        return cls(tuple(j for j, ch in enumerate(digits, start=1) if ch == "1"))
 
     def to_mask(self, n: int) -> int:
         return _mask_from_indices(self.members, n, "item")
@@ -110,38 +118,28 @@ class BinaryMatrix:
             raise ValidationError(
                 f"expected {self.rows} row masks, got {len(self.row_masks)}"
             )
-        cols = [0] * self.cols
         for i, mask in enumerate(self.row_masks):
             if mask < 0 or mask >> self.cols:
                 raise ValidationError(f"row {i + 1} has bits outside 1..{self.cols}")
-            row_bit = 1 << i
-            m = mask
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= row_bit
-                m ^= low
-        object.__setattr__(self, "col_masks", tuple(cols))
+        # rows laid end to end: column j is every cols-th digit from digit j
+        digits = "".join([_mask_to_digits(mask, self.cols) for mask in self.row_masks])
+        cols = tuple(_digits_to_mask(digits[j::self.cols]) for j in range(self.cols))
+        object.__setattr__(self, "col_masks", cols)
 
     @classmethod
     def from_bits(cls, bit_rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        masks = []
-        width = None
+        lines: list[str] = []
         for row in bit_rows:
             row = list(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if lines and len(row) != len(lines[0]):
                 raise ValidationError("ragged rows in matrix")
-            mask = 0
-            for j, bit in enumerate(row):
+            for bit in row:
                 if bit not in (0, 1):
                     raise ValidationError(f"matrix entry {bit!r} is not 0/1")
-                if bit:
-                    mask |= 1 << j
-            masks.append(mask)
-        if not masks or not width:
+            lines.append("".join("1" if bit else "0" for bit in row))
+        if not lines or not lines[0]:
             raise ValidationError("matrix must have at least one row and column")
-        return cls(len(masks), width, tuple(masks))
+        return cls(len(lines), len(lines[0]), tuple(map(_digits_to_mask, lines)))
 
     @classmethod
     def parse(cls, text: str) -> "BinaryMatrix":
@@ -157,16 +155,10 @@ class BinaryMatrix:
             raise ValidationError('matrix header must be "t n" with integers') from None
         if len(lines) - 1 != t:
             raise ValidationError(f"expected {t} matrix rows, found {len(lines) - 1}")
-        masks = []
         for i, line in enumerate(lines[1:], start=1):
             if len(line) != n or set(line) - {"0", "1"}:
                 raise ValidationError(f"matrix row {i} is not {n} characters of 0/1")
-            mask = 0
-            for j, ch in enumerate(line):
-                if ch == "1":
-                    mask |= 1 << j
-            masks.append(mask)
-        return cls(t, n, tuple(masks))
+        return cls(t, n, tuple(map(_digits_to_mask, lines[1:])))
 
     @classmethod
     def load(cls, path: str | Path) -> "BinaryMatrix":
@@ -178,10 +170,7 @@ class BinaryMatrix:
 
     def to_text(self) -> str:
         out = [f"{self.rows} {self.cols}"]
-        for mask in self.row_masks:
-            out.append(
-                "".join("1" if mask >> j & 1 else "0" for j in range(self.cols))
-            )
+        out.extend(_mask_to_digits(mask, self.cols) for mask in self.row_masks)
         return "\n".join(out) + "\n"
 
     def save(self, path: str | Path) -> None:
@@ -227,8 +216,7 @@ class OutcomeVector:
         if raw.count(0) + raw.count(1) != len(bits):
             bad = next(b for b in bits if b not in (0, 1))
             raise ValidationError(f"outcome entry {bad!r} is not 0/1")
-        # bit i of the mask is row i + 1, so the last row is the first digit
-        negatives = int(raw[::-1].translate(_NEGATIVE_DIGITS), 2)
+        negatives = _digits_to_mask(raw.translate(_NEGATIVE_DIGITS))
         object.__setattr__(self, "negatives_mask", negatives)
 
     @classmethod

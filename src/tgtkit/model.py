@@ -193,6 +193,18 @@ class NoiseSpec:
         return self.count
 
 
+def _check_thresholds(ell: int, u: int) -> None:
+    if not 0 <= ell < u:
+        raise ValidationError(f"need 0 <= ell < u, got ell={ell} u={u}")
+
+
+def _check_outcome_length(matrix: BinaryMatrix, outcome: OutcomeVector) -> None:
+    if len(outcome) != matrix.rows:
+        raise ValidationError(
+            f"outcome has {len(outcome)} entries for a {matrix.rows}-row matrix"
+        )
+
+
 def _defective_counts(matrix: BinaryMatrix, x_mask: int) -> list[int]:
     return [(mask & x_mask).bit_count() for mask in matrix.row_masks]
 
@@ -212,8 +224,7 @@ def encode(
     noise flips are applied last.  Deterministic given the policy and noise
     seeds (Bernoulli draws are consumed in row order, gap rows only).
     """
-    if not 0 <= ell < u:
-        raise ValidationError(f"need 0 <= ell < u, got ell={ell} u={u}")
+    _check_thresholds(ell, u)
     x_mask = defectives.to_mask(matrix.cols)
     counts = _defective_counts(matrix, x_mask)
 
@@ -279,12 +290,8 @@ def check_consistency(
     (positive with ``>= u`` defectives, negative with ``<= ell``); gap rows
     can always be explained by the gap and contribute zero.
     """
-    if not 0 <= ell < u:
-        raise ValidationError(f"need 0 <= ell < u, got ell={ell} u={u}")
-    if len(outcome) != matrix.rows:
-        raise ValidationError(
-            f"outcome has {len(outcome)} entries for a {matrix.rows}-row matrix"
-        )
+    _check_thresholds(ell, u)
+    _check_outcome_length(matrix, outcome)
     x_mask = defectives.to_mask(matrix.cols)
     errors = 0
     for c, y in zip(_defective_counts(matrix, x_mask), outcome.bits):
@@ -299,10 +306,7 @@ def t0(matrix: BinaryMatrix, outcome: OutcomeVector, items: ItemSet) -> int:
     """Number of negative pools in which all the given columns appear."""
     if len(items) < 1:
         raise ValidationError("t0 needs at least one column")
-    if len(outcome) != matrix.rows:
-        raise ValidationError(
-            f"outcome has {len(outcome)} entries for a {matrix.rows}-row matrix"
-        )
+    _check_outcome_length(matrix, outcome)
     items.to_mask(matrix.cols)  # validates the range
     rows = outcome.negatives_mask
     for j in items:

@@ -144,17 +144,25 @@ _EXPERIMENT_KEYS = {
     "verified",
 }
 
+#: accepted values of ``verified=`` (case-insensitive)
+_VERIFIED_WORDS = {
+    "true": True, "false": False, "1": True, "0": False, "yes": True, "no": False,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """End-to-end experiment description (flat ``key=value`` file).
 
     Required keys: ``n d ell u z algorithm trials seed`` and one of
-    ``matrix=<path>`` / ``generate=thm4|thm5|verified``; defectives come
-    either from ``defectives=<comma list>`` or ``s_size=<int>`` (a fresh
-    random size-``s`` set per trial).  ``verified=true`` asserts the matrix
-    is disjunct, so an envelope failure is a defect; it is implied by
-    ``generate=verified``.
+    ``matrix=<path>`` / ``generate=thm4|thm5|verified``; ``rows=`` and
+    ``max_attempts=`` (both ``>= 1``) tune generation, and ``rows=`` is an
+    error with ``matrix=``.  Defectives come either from
+    ``defectives=<comma list>`` or ``s_size=<int>`` (a fresh random
+    size-``s`` set per trial).  ``verified=true`` asserts the matrix is
+    disjunct, so an envelope failure is a defect; it is implied by
+    ``generate=verified``, and the value must be one of
+    ``true/false/1/0/yes/no`` in any case.
 
     Gap policy and noise (built by :meth:`GapPolicy.from_settings` and
     :meth:`NoiseSpec.from_settings`, the same builders the CLI uses):
@@ -195,6 +203,15 @@ class ExperimentSpec:
             )
         if self.generate_kind is not None and self.generate_kind not in _GEN_KINDS:
             raise ValidationError(f"unknown generate kind {self.generate_kind!r}")
+        if self.rows_override is not None:
+            if self.matrix_path is not None:
+                raise ValidationError(
+                    "rows= needs generate=: a matrix file fixes the row count"
+                )
+            if self.rows_override < 1:
+                raise ValidationError(f"rows must be >= 1, got {self.rows_override}")
+        if self.max_attempts < 1:
+            raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if (self.defectives is None) == (self.s_size is None):
             raise ValidationError(
                 "exactly one of defectives=<items> or s_size=<int> is required"
@@ -244,7 +261,13 @@ class ExperimentSpec:
             u=as_int("u", need("u")),
             z=as_int("z", need("z")),
         )
-        verified = kv.get("verified", "").lower() in ("true", "1", "yes")
+        verified_text = kv.get("verified", "false")
+        if verified_text.lower() not in _VERIFIED_WORDS:
+            raise ValidationError(
+                f"spec key 'verified' must be one of {'/'.join(_VERIFIED_WORDS)}, "
+                f"got {verified_text!r}"
+            )
+        verified = _VERIFIED_WORDS[verified_text.lower()]
         if kv.get("generate") == "verified":
             verified = True
         try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -91,6 +92,18 @@ class TestComplexity:
             complexity("thm3", 100, 8, 4, 4, 3)  # ell >= u
         with pytest.raises(ValidationError):
             complexity("thm8", 100, 8, 1, 4, 3, s_size=9)  # s_size > d
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((100, 8, 4, 4, 3), "need 0 <= ell < u <= d < n, got ell=4 u=4 d=8 n=100"),
+            ((8, 8, 1, 4, 3), "need 0 <= ell < u <= d < n, got ell=1 u=4 d=8 n=8"),
+            ((100, 8, 1, 4, 0), "z must be >= 1, got 0"),
+        ],
+    )
+    def test_parameter_messages(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            complexity("thm6", *args)
 
 
 class TestAppendixGapCheck:

@@ -247,6 +247,22 @@ class TestSimulateAndExperiment:
         assert "DEFECT" in out
         assert "error:" in err
 
+    def test_experiment_misspelled_verified_is_exit_1(self, capsys, tmp_path):
+        ones = tmp_path / "ones.txt"
+        ones.write_text("3 6\n" + "111111\n" * 3)
+        spec = tmp_path / "spec.txt"
+        body = (
+            "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=1\nseed=0\n"
+            f"matrix={ones}\ndefectives=1,2\npolicy=always_negative\n"
+        )
+        spec.write_text(body + "verified=ture\n")
+        code, out, err = run(capsys, "experiment", "--spec", spec)
+        assert code == 1
+        assert out == ""
+        assert "'verified'" in err and "'ture'" in err
+        spec.write_text(body + "verified=TRUE\n")
+        assert run(capsys, "experiment", "--spec", spec)[0] == 3
+
 
 class TestArgumentErrors:
     def test_bad_flag_value_is_exit_1(self, capsys):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tgtkit import BinaryMatrix, ItemSet, OutcomeVector, ValidationError
 
@@ -115,3 +118,157 @@ def test_itemset_parse_format_mask():
         ItemSet.of([0, 1])
     with pytest.raises(ValidationError):
         ItemSet.parse("1,two")
+
+
+def _per_bit_columns(row_masks, n):
+    """Column masks by a per-bit transpose, the oracle for ``col_masks``."""
+    cols = [0] * n
+    for i, mask in enumerate(row_masks):
+        for j in range(n):
+            if mask >> j & 1:
+                cols[j] |= 1 << i
+    return tuple(cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.integers(1, 5000),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+@example(t=5000, n=80, seed=1, density=0.5)  # columns past 4,300 digits
+@example(t=1, n=1, seed=0, density=1.0)
+def test_matrix_text_round_trip_and_transpose(t, n, seed, density):
+    rng = random.Random(seed)
+    rows = tuple(
+        sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)
+    )
+    m = BinaryMatrix(t, n, rows)
+    assert m.col_masks == _per_bit_columns(rows, n)
+    lines = m.to_text().splitlines()
+    assert lines[0] == f"{t} {n}"
+    assert lines[1:] == ["".join(str(mask >> j & 1) for j in range(n)) for mask in rows]
+    back = BinaryMatrix.parse(m.to_text())
+    assert back == m and back.col_masks == m.col_masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**300))
+@example(0)
+@example(1 << 4999 | 1)
+def test_itemset_mask_round_trip(mask):
+    items = ItemSet.from_mask(mask)
+    assert items.members == tuple(
+        j + 1 for j in range(mask.bit_length()) if mask >> j & 1
+    )
+    assert items.to_mask(mask.bit_length()) == mask
+    with pytest.raises(ValidationError, match="is negative"):
+        ItemSet.from_mask(-mask - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_outcome_text_round_trip(bits):
+    y = OutcomeVector(tuple(bits))
+    assert y.to_text() == "".join(map(str, bits)) + "\n"
+    assert OutcomeVector.parse(y.to_text()) == y
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.11"
+)
+def test_codec_is_exempt_from_the_int_digit_limit():
+    # base 2 is exempt from the limit on decimal int/str conversions, so the
+    # codec handles rows, columns and outcomes longer than 4,300 digits
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default limit
+    try:
+        with pytest.raises(ValueError):
+            int("1" * 5000)
+        half = 2500
+        wide = BinaryMatrix.parse("1 5000\n" + "01" * half + "\n")
+        assert wide.row_masks == (int("10" * half, 2),)
+        assert BinaryMatrix.parse(wide.to_text()) == wide
+        tall = BinaryMatrix(5000, 1, (1, 0) * half)
+        assert tall.col_masks == (int("01" * half, 2),)
+        assert BinaryMatrix.parse(tall.to_text()) == tall
+        y = OutcomeVector((0, 1) * half)
+        assert y.negatives_mask == int("01" * half, 2)
+        assert OutcomeVector.parse(y.to_text()) == y
+        assert ItemSet.from_mask(1 << 4999).members == (5000,)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+#: text that ``int(..., 2)`` would accept or that breaks a row's length
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(["_", " ", "+", "-", "2", "b", "x"])),
+    st.tuples(st.just("insert"), st.sampled_from(["_", " ", "0", "1", "0b", "+", "-"])),
+    st.tuples(st.just("prefix"), st.sampled_from(["0b", "+", "-", "+0b", "_"])),
+    st.tuples(st.just("swap_0b"), st.just("0b")),
+    st.tuples(st.just("short"), st.just("")),
+)
+
+
+def _mutate(line, mutation, k):
+    kind, text = mutation
+    k %= len(line)
+    if kind == "replace":
+        return line[:k] + text + line[k + 1:]
+    if kind == "insert":
+        return line[:k] + text + line[k:]
+    if kind == "prefix":
+        return text + line
+    if kind == "swap_0b":  # same length when the line has two digits or more
+        return text + line[2:]
+    return line[:k] + line[k + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.text("01", min_size=1, max_size=12), min_size=1, max_size=6),
+    pick=st.integers(0, 5),
+    k=st.integers(0, 11),
+    mutation=_MUTATIONS,
+)
+def test_malformed_matrix_row_fails_the_row_check(rows, pick, k, mutation):
+    n = len(rows[0])
+    rows = [(row * n)[:n] for row in rows]
+    i = pick % len(rows)
+    rows[i] = _mutate(rows[i], mutation, k)
+    text = f"{len(rows)} {n}\n" + "\n".join(rows) + "\n"
+    row = rows[i].strip()
+    if len(row) == n and set(row) <= {"0", "1"}:
+        BinaryMatrix.parse(text)  # whitespace around a row is allowed
+        return
+    message = rf"^matrix row {i + 1} is not {n} characters of 0/1$"
+    if not row:  # a blank line is skipped, so a row is missing
+        message = rf"^expected {len(rows)} matrix rows, found {len(rows) - 1}$"
+    with pytest.raises(ValidationError, match=message):
+        BinaryMatrix.parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    line=st.text("01", min_size=1, max_size=40),
+    k=st.integers(0, 39),
+    mutation=_MUTATIONS,
+)
+def test_malformed_outcome_fails_the_digit_check(line, k, mutation):
+    bad = _mutate(line, mutation, k)
+    if bad.strip() and set(bad.strip()) <= {"0", "1"}:
+        return  # removing one digit leaves a valid, shorter outcome
+    with pytest.raises(ValidationError, match="^outcome file must be one line of 0/1"):
+        OutcomeVector.parse(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("01_ +-bx2\n", max_size=60), st.sampled_from(["", "2 3\n", "1 4\n", "+1 2\n"]))
+def test_random_matrix_and_outcome_text_parse_or_fail_validation(body, header):
+    for parse in (BinaryMatrix.parse, OutcomeVector.parse):
+        try:
+            value = parse(header + body)
+        except ValidationError:
+            continue
+        assert parse(value.to_text()) == value

@@ -15,6 +15,8 @@ from tgtkit import (
     NoiseSpec,
     TGTParams,
     ValidationError,
+    OutcomeVector,
+    build_family,
     check_consistency,
     encode,
     t0,
@@ -310,3 +312,21 @@ def test_encode_deterministic(case):
     assert encode(matrix, defectives, ell, u, policy) == encode(
         matrix, defectives, ell, u, policy
     )
+
+
+def test_threshold_and_outcome_length_messages():
+    m = BinaryMatrix(3, 4, (0b0011, 0b0110, 0b1100))
+    items = ItemSet.of([1, 2])
+    thresholds = "^need 0 <= ell < u, got ell=2 u=2$"
+    with pytest.raises(ValidationError, match=thresholds):
+        encode(m, items, 2, 2, GapPolicy.always_negative())
+    with pytest.raises(ValidationError, match=thresholds):
+        check_consistency(m, items, OutcomeVector((0, 0, 0)), 2, 2)
+    short = OutcomeVector((0, 1))
+    length = "^outcome has 2 entries for a 3-row matrix$"
+    with pytest.raises(ValidationError, match=length):
+        check_consistency(m, items, short, 0, 2)
+    with pytest.raises(ValidationError, match=length):
+        t0(m, short, items)
+    with pytest.raises(ValidationError, match=length):
+        build_family(m, short, 2, 0)

@@ -185,6 +185,12 @@ class TestExperimentSpec:
             ("defectives=1,2\nnoise=random_flips\nnoise_count=-1\n", "non-negative"),
             ("defectives=1,2\npolicy=explicit\npolicy_rows=1:7\n", "row 1 must be 0/1"),
             ("s_size=2\npolicy=explicit\npolicy_rows=1:1\n", "needs defectives="),
+            ("defectives=1,2\nmax_attempts=-5\n", r"max_attempts must be >= 1, got -5"),
+            ("defectives=1,2\nmax_attempts=0\n", r"max_attempts must be >= 1, got 0"),
+            ("defectives=1,2\nrows=-3\n", r"rows must be >= 1, got -3"),
+            ("defectives=1,2\nrows=0\n", r"rows must be >= 1, got 0"),
+            ("defectives=1,2\nverified=ture\n", "spec key 'verified' must be one of"),
+            ("defectives=1,2\nverified=\n", "spec key 'verified' must be one of"),
         ],
     )
     def test_bad_policy_or_noise_fails_at_parse(self, settings_text, message):
@@ -192,6 +198,37 @@ class TestExperimentSpec:
         base = "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\ngenerate=thm4\n"
         with pytest.raises(ValidationError, match=message):
             ExperimentSpec.parse(base + settings_text)
+
+    @pytest.mark.parametrize("kind", ["thm4", "thm5", "verified"])
+    def test_generation_settings_checked_for_every_kind(self, kind):
+        base = (
+            "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\n"
+            f"generate={kind}\ndefectives=1,2\n"
+        )
+        with pytest.raises(ValidationError, match="max_attempts must be >= 1"):
+            ExperimentSpec.parse(base + "max_attempts=0\n")
+        with pytest.raises(ValidationError, match="rows must be >= 1"):
+            ExperimentSpec.parse(base + "rows=-3\n")
+        spec = ExperimentSpec.parse(base + "rows=7\nmax_attempts=1\n")
+        assert (spec.rows_override, spec.max_attempts) == (7, 1)
+
+    def test_rows_with_matrix_file_rejected(self, golden_file):
+        text = GOLDEN_SPEC.format(matrix=golden_file) + "rows=50\n"
+        with pytest.raises(ValidationError, match="rows= needs generate="):
+            ExperimentSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+         ("false", False), ("No", False), ("0", False), ("FALSE", False)],
+    )
+    def test_verified_values(self, golden_file, value, expected):
+        text = GOLDEN_SPEC.format(matrix=golden_file).replace(
+            "verified=true", f"verified={value}"
+        )
+        assert ExperimentSpec.parse(text).verified is expected
+        generated = text.replace(f"matrix={golden_file}", "generate=verified")
+        assert ExperimentSpec.parse(generated).verified is True
 
     def test_readme_example_parses(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
