@@ -208,13 +208,12 @@ def _build_family_reference(
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
     """Whether every ``u``-subset of ``items`` is an edge of the family."""
-    members = tuple(sorted(set(items)))
+    members = sorted(set(items))
     if len(members) < family.u:
         raise ValidationError(
             f"u-completeness needs at least u={family.u} items, got {len(members)}"
         )
-    edge_set = family.edge_set
-    return all(c in edge_set for c in combinations(members, family.u))
+    return family.edge_set.issuperset(combinations(members, family.u))
 
 
 def w_bound(s_size: int, ell: int, u: int, g: int) -> int:
@@ -248,14 +247,11 @@ def _first_u_complete_extension(
             f"extension step would check {work} candidate pairs > cap {step_cap}"
         )
     cur_sorted = tuple(sorted(current))
-    edge_set = family.edge_set
-    u = family.u
     for a in combinations(pool, g + 1):
         grown = current | set(a)
         for b in combinations(cur_sorted, g):
             candidate = grown - set(b)
-            members = tuple(sorted(candidate))
-            if all(c in edge_set for c in combinations(members, u)):
+            if is_u_complete(family, candidate):
                 return frozenset(candidate)
     return None
 
@@ -276,29 +272,16 @@ def _swap_extend(
 
 
 def _greedy_union(family: Family, g: int) -> set[int]:
-    """Algorithm 2's output on a non-empty family (see :func:`decode_alg2`)."""
+    """Algorithm 2's output on a non-empty family (see :func:`decode_alg2`).
+    ``current`` only grows, so a skipped edge stays skipped and a picked
+    edge adds nothing later: one pass per phase equals rescanning."""
     current = set(family.edges[0])
-    used: set[tuple[int, ...]] = set()
-    while True:  # phase A: disjoint edges
-        pick = None
-        for edge in family.edges:
-            if edge not in used and not current.intersection(edge):
-                pick = edge
-                break
-        if pick is None:
-            break
-        used.add(pick)
-        current.update(pick)
-    while True:  # phase B: edges adding >= g + 1 new items
-        pick = None
-        for edge in family.edges:
-            if edge not in used and len(set(edge) - current) >= g + 1:
-                pick = edge
-                break
-        if pick is None:
-            break
-        used.add(pick)
-        current.update(pick)
+    for edge in family.edges:  # phase A: disjoint edges
+        if current.isdisjoint(edge):
+            current.update(edge)
+    for edge in family.edges:  # phase B: edges adding >= g + 1 new items
+        if len(set(edge) - current) >= g + 1:
+            current.update(edge)
     return current
 
 
@@ -310,15 +293,23 @@ def _restricted_family(family: Family, vertices: Iterable[int]) -> Family:
     return Family(family.u, edges)
 
 
-def _empty_result(algorithm: int, fp: int, fn: int) -> DecodeResult:
-    return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
+def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]:
+    """The (false-positive, false-negative) envelope of an algorithm when
+    the defective set has ``s_size`` items (only algorithm 2 depends on it)."""
+    g = params.g
+    if algorithm == 1:
+        return g, g
+    if algorithm == 2:
+        return w_bound(s_size, params.ell, params.u, g), g
+    if algorithm == 3:
+        return g, 2 * g
+    raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
 
 
 def _announce(params: TGTParams, algorithm: int) -> None:
     """Reject an unknown algorithm and warn about the size conditions its
     guarantee assumes (the decoders run regardless)."""
-    if algorithm not in (1, 2, 3):
-        raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
+    _envelope(algorithm, params, params.d)  # rejects an unknown algorithm
     w = w_bound(params.d, params.ell, params.u, params.g)
     if algorithm == 3 and w + params.d > params.n:
         warnings.warn(
@@ -336,26 +327,21 @@ def _announce(params: TGTParams, algorithm: int) -> None:
 def _decode_family(
     family: Family, params: TGTParams, algorithm: int, step_cap: int
 ) -> DecodeResult:
+    fp, fn = _envelope(algorithm, params, params.d)
+    if not family.edges:
+        return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
     g = params.g
     if algorithm == 1:
-        if not family.edges:
-            return _empty_result(1, g, g)
         universe = tuple(range(1, params.n + 1))
         found = _swap_extend(family, universe, params.d, g, step_cap)
-        return DecodeResult(ItemSet.of(found), 1, g, g)
-    fp_cap = w_bound(params.d, params.ell, params.u, g)
-    if not family.edges:
-        if algorithm == 2:
-            return _empty_result(2, fp_cap, g)
-        return _empty_result(3, g, 2 * g)
-    greedy = _greedy_union(family, g)
-    if algorithm == 2:
-        return DecodeResult(ItemSet.of(greedy), 2, fp_cap, g)
-    vertices = tuple(sorted(greedy))
-    refined = _swap_extend(
-        _restricted_family(family, vertices), vertices, params.d, g, step_cap
-    )
-    return DecodeResult(ItemSet.of(refined), 3, g, 2 * g)
+    else:
+        found = _greedy_union(family, g)
+        if algorithm == 3:
+            vertices = tuple(sorted(found))
+            found = _swap_extend(
+                _restricted_family(family, vertices), vertices, params.d, g, step_cap
+            )
+    return DecodeResult(ItemSet.of(found), algorithm, fp, fn)
 
 
 def decode_from_family(
@@ -410,10 +396,10 @@ def decode_alg2(
     """Greedy union decoder.
 
     Phase A unions disjoint edges; phase B unions edges contributing at
-    least ``g + 1`` new items; both scan the family lexicographically and
-    never reuse a consumed edge.  The reported false-positive cap uses
-    ``|S| = d`` (the decoder cannot see the true size; checks against a
-    known truth should use :func:`w_bound` at the actual ``|S|``).
+    least ``g + 1`` new items; each phase is one lexicographic pass over
+    the family.  The reported false-positive cap uses ``|S| = d`` (the
+    decoder cannot see the true size; checks against a known truth should
+    use :func:`w_bound` at the actual ``|S|``).
     """
     return decode(outcome, matrix, params, 2, subset_cap)
 
@@ -458,15 +444,7 @@ def check_envelope(
     for item in list(s_true) + list(s_recovered):
         if not 1 <= item <= params.n:
             raise ValidationError(f"item {item} outside 1..{params.n}")
-    g = params.g
-    if algorithm == 1:
-        fp_limit, fn_limit = g, g
-    elif algorithm == 2:
-        fp_limit, fn_limit = w_bound(len(s_true), params.ell, params.u, g), g
-    elif algorithm == 3:
-        fp_limit, fn_limit = g, 2 * g
-    else:
-        raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
+    fp_limit, fn_limit = _envelope(algorithm, params, len(s_true))
     true_set = set(s_true)
     rec_set = set(s_recovered)
     return EnvelopeCheck(

@@ -20,10 +20,14 @@ Text formats (used by the CLI and by experiment specs):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
+
+#: maps binary digits to their values ("1" -> 1)
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _digits_to_mask(digits: str | bytes) -> int:
@@ -37,18 +41,20 @@ def _mask_to_digits(mask: int, width: int) -> str:
     return format(mask, f"0{width}b")[::-1]
 
 
-def _mask_from_indices(indices: Iterable[int], size: int, what: str) -> int:
-    mask = 0
-    for idx in indices:
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise ValidationError(f"{what} index {idx!r} is not an integer")
-        if idx < 1 or idx > size:
-            raise ValidationError(f"{what} index {idx} out of range 1..{size}")
-        bit = 1 << (idx - 1)
-        if mask & bit:
-            raise ValidationError(f"duplicate {what} index {idx}")
-        mask |= bit
-    return mask
+def _positions_to_mask(positions: Iterable[int], width: int) -> int:
+    """Mask with bit ``j - 1`` set for each 1-based position ``j``, in one
+    pass over ``width`` digits; only for positions checked to be in range."""
+    digits = bytearray(b"0" * width)
+    for j in positions:
+        digits[j - 1] = ord("1")
+    return _digits_to_mask(digits) if digits else 0
+
+
+def _mask_to_positions(mask: int, width: int) -> list[int]:
+    """The 1-based positions of the set bits of a mask below ``2**width``,
+    in increasing order: the inverse of :func:`_positions_to_mask`."""
+    values = _mask_to_digits(mask, width).encode().translate(_DIGIT_VALUES)
+    return list(compress(count(1), values))
 
 
 @dataclass(frozen=True)
@@ -83,11 +89,13 @@ class ItemSet:
     def from_mask(cls, mask: int) -> "ItemSet":
         if mask < 0:
             raise ValidationError(f"item mask {mask} is negative")
-        digits = _mask_to_digits(mask, mask.bit_length())
-        return cls(tuple(j for j, ch in enumerate(digits, start=1) if ch == "1"))
+        return cls(tuple(_mask_to_positions(mask, mask.bit_length())))
 
     def to_mask(self, n: int) -> int:
-        return _mask_from_indices(self.members, n, "item")
+        for m in self.members:  # sorted: the first one past n is reported
+            if m > n:
+                raise ValidationError(f"item index {m} out of range 1..{n}")
+        return _positions_to_mask(self.members, n)
 
     def format(self) -> str:
         return ",".join(str(m) for m in self.members)
@@ -149,10 +157,9 @@ class BinaryMatrix:
         head = lines[0].split()
         if len(head) != 2:
             raise ValidationError('matrix header must be "t n"')
-        try:
-            t, n = int(head[0]), int(head[1])
-        except ValueError:
-            raise ValidationError('matrix header must be "t n" with integers') from None
+        if not all(h.isascii() and h.isdigit() for h in head):
+            raise ValidationError('matrix header must be "t n" with integers')
+        t, n = int(head[0]), int(head[1])
         if len(lines) - 1 != t:
             raise ValidationError(f"expected {t} matrix rows, found {len(lines) - 1}")
         for i, line in enumerate(lines[1:], start=1):
@@ -200,7 +207,8 @@ _NEGATIVE_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 @dataclass(frozen=True)
 class OutcomeVector:
-    """Length-``t`` vector of test outcomes (1 positive, 0 negative)."""
+    """Length-``t`` vector of test outcomes (1 positive, 0 negative).  Any
+    sequence of entries equal to 0 or 1 is stored as a tuple of the ints."""
 
     bits: tuple[int, ...]
     negatives_mask: int = field(init=False, repr=False, compare=False)
@@ -217,6 +225,7 @@ class OutcomeVector:
             bad = next(b for b in bits if b not in (0, 1))
             raise ValidationError(f"outcome entry {bad!r} is not 0/1")
         negatives = _digits_to_mask(raw.translate(_NEGATIVE_DIGITS))
+        object.__setattr__(self, "bits", tuple(raw))
         object.__setattr__(self, "negatives_mask", negatives)
 
     @classmethod
@@ -224,7 +233,14 @@ class OutcomeVector:
         line = text.strip()
         if not line or set(line) - {"0", "1"}:
             raise ValidationError("outcome file must be one line of 0/1 characters")
-        return cls(tuple(int(ch) for ch in line))
+        return cls(line.encode().translate(_DIGIT_VALUES))
+
+    @classmethod
+    def from_mask(cls, positives: int, t: int) -> "OutcomeVector":
+        """Outcome of ``t`` tests, test ``i`` being bit ``i - 1`` of ``positives``."""
+        if t < 1 or positives < 0 or positives >> t:
+            raise ValidationError(f"outcome mask {positives} does not fit {t} tests")
+        return cls(_mask_to_digits(positives, t).encode().translate(_DIGIT_VALUES))
 
     @classmethod
     def load(cls, path: str | Path) -> "OutcomeVector":

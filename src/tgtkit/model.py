@@ -3,6 +3,10 @@
 A test on pool ``P`` against defective set ``S`` is positive when
 ``|P ∩ S| >= u``, negative when ``|P ∩ S| <= ell``, and *arbitrary* in
 between.  The width ``g = u - ell - 1`` of the arbitrary band is the gap.
+:func:`_rows_pooling` applies this rule to all rows at once, from the
+defectives' column masks; :func:`encode` and :func:`check_consistency`
+work on the row masks it returns.
+
 Simulation has to pick concrete outcomes for gap pools, which is what
 :class:`GapPolicy` does; the two constant policies are the adversarial
 extremes, ``bernoulli`` is the usual stochastic model, and ``explicit``
@@ -20,6 +24,7 @@ from typing import Mapping
 
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
+from .matrix import _mask_to_positions, _positions_to_mask
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,8 @@ class GapPolicy:
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"bernoulli p must be in [0, 1], got {self.p}")
         for row, bit in self.overrides:
+            if not isinstance(row, int):
+                raise ValidationError(f"override row {row!r} is not an integer")
             if bit not in (0, 1):
                 raise ValidationError(f"override for row {row} must be 0/1")
 
@@ -205,8 +212,29 @@ def _check_outcome_length(matrix: BinaryMatrix, outcome: OutcomeVector) -> None:
         )
 
 
-def _defective_counts(matrix: BinaryMatrix, x_mask: int) -> list[int]:
-    return [(mask & x_mask).bit_count() for mask in matrix.row_masks]
+def _rows_pooling(
+    matrix: BinaryMatrix, defectives: ItemSet, ell: int, u: int
+) -> tuple[int, int]:
+    """Masks of the rows that pool more than ``ell`` and at least ``u`` of
+    the defectives: the rows not certainly negative, and the rows certainly
+    positive.  ``at_least[k]`` holds the rows with ``k`` or more of the
+    columns seen so far (bit-sliced counts, saturating at ``u``)."""
+    defectives.to_mask(matrix.cols)  # validates the range
+    at_least = [(1 << matrix.rows) - 1] + [0] * u
+    for j in defectives:
+        col = matrix.col_masks[j - 1]
+        for k in range(u, 0, -1):
+            at_least[k] |= at_least[k - 1] & col
+    return at_least[ell + 1], at_least[u]
+
+
+def _check_noise(noise: NoiseSpec, rows: int) -> None:
+    """Reject noise that a ``rows``-row matrix cannot take."""
+    if noise.kind == "random_flips" and noise.count > rows:
+        raise ValidationError(f"cannot flip {noise.count} rows in a {rows}-row matrix")
+    outside = [r for r in sorted(set(noise.rows)) if not 1 <= r <= rows]
+    if noise.kind == "flip_rows" and outside:
+        raise ValidationError(f"flip row {outside[0]} out of range 1..{rows}")
 
 
 def encode(
@@ -219,62 +247,42 @@ def encode(
 ) -> OutcomeVector:
     """Outcome vector of all tests for the given defective set.
 
-    Row ``i`` is 1 when it pools at least ``u`` defectives, 0 when it pools
-    at most ``ell``, and otherwise takes whatever ``policy`` dictates; the
-    noise flips are applied last.  Deterministic given the policy and noise
-    seeds (Bernoulli draws are consumed in row order, gap rows only).
+    Gap rows take whatever ``policy`` dictates; the noise flips are applied
+    last.  Deterministic given the policy and noise seeds (Bernoulli draws
+    are consumed in row order, gap rows only).
     """
     _check_thresholds(ell, u)
-    x_mask = defectives.to_mask(matrix.cols)
-    counts = _defective_counts(matrix, x_mask)
-
-    bits: list[int] = []
-    gap_rows = [i + 1 for i, c in enumerate(counts) if ell < c < u]
-    override_map: dict[int, int] = {}
-    if policy.kind == "explicit":
+    t = matrix.rows
+    some, positive = _rows_pooling(matrix, defectives, ell, u)
+    gap = some & ~positive
+    if policy.kind == "always_positive":
+        positive |= gap
+    elif policy.kind == "bernoulli":
+        rng = random.Random(policy.seed)
+        hits = [row for row in _mask_to_positions(gap, t) if rng.random() < policy.p]
+        positive |= _positions_to_mask(hits, t)
+    elif policy.kind == "explicit":
         override_map = dict(policy.overrides)
-        gap_set = set(gap_rows)
         for row in override_map:
-            if not 1 <= row <= matrix.rows:
+            if not 1 <= row <= t:
                 raise ValidationError(f"explicit override row {row} out of range")
-            if row not in gap_set:
+            if not gap >> (row - 1) & 1:
                 raise ValidationError(
                     f"explicit override on row {row}, which is not a gap row "
                     f"for this defective set"
                 )
-        missing = [r for r in gap_rows if r not in override_map]
+        missing = [r for r in _mask_to_positions(gap, t) if r not in override_map]
         if missing:
             raise ValidationError(
                 f"explicit policy must cover every gap row; missing {missing}"
             )
-    rng = random.Random(policy.seed) if policy.kind == "bernoulli" else None
+        positive |= _positions_to_mask([r for r, bit in override_map.items() if bit], t)
 
-    for i, c in enumerate(counts):
-        if c >= u:
-            bits.append(1)
-        elif c <= ell:
-            bits.append(0)
-        elif policy.kind == "always_positive":
-            bits.append(1)
-        elif policy.kind == "always_negative":
-            bits.append(0)
-        elif policy.kind == "bernoulli":
-            assert rng is not None
-            bits.append(1 if rng.random() < policy.p else 0)
-        else:
-            bits.append(override_map[i + 1])
-
-    outcome = OutcomeVector(tuple(bits))
-    if noise.kind == "none":
-        return outcome
-    if noise.kind == "flip_rows":
-        return outcome.flipped(noise.rows)
-    if noise.count > matrix.rows:
-        raise ValidationError(
-            f"cannot flip {noise.count} rows in a {matrix.rows}-row matrix"
-        )
-    rows = random.Random(noise.seed).sample(range(1, matrix.rows + 1), noise.count)
-    return outcome.flipped(rows)
+    _check_noise(noise, t)
+    flips = noise.rows if noise.kind == "flip_rows" else ()
+    if noise.kind == "random_flips":
+        flips = random.Random(noise.seed).sample(range(1, t + 1), noise.count)
+    return OutcomeVector.from_mask(positive ^ _positions_to_mask(set(flips), t), t)
 
 
 def check_consistency(
@@ -286,20 +294,16 @@ def check_consistency(
 ) -> int:
     """Minimal number of flipped outcomes explaining ``outcome``.
 
-    Counts the rows whose outcome contradicts its deterministic value
-    (positive with ``>= u`` defectives, negative with ``<= ell``); gap rows
+    Counts the rows whose outcome contradicts its certain value; gap rows
     can always be explained by the gap and contribute zero.
     """
     _check_thresholds(ell, u)
     _check_outcome_length(matrix, outcome)
-    x_mask = defectives.to_mask(matrix.cols)
-    errors = 0
-    for c, y in zip(_defective_counts(matrix, x_mask), outcome.bits):
-        if c >= u and y == 0:
-            errors += 1
-        elif c <= ell and y == 1:
-            errors += 1
-    return errors
+    some, positive = _rows_pooling(matrix, defectives, ell, u)
+    negatives = outcome.negatives_mask
+    # certain positives read negative, plus certain negatives read positive
+    missed = (positive & negatives).bit_count()
+    return missed + matrix.rows - (negatives | some).bit_count()
 
 
 def t0(matrix: BinaryMatrix, outcome: OutcomeVector, items: ItemSet) -> int:

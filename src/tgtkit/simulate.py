@@ -26,7 +26,7 @@ from .decode import check_envelope, decode
 from .disjunct import generate, generate_verified, rows_thm1, rows_thm4, rows_thm5
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
-from .model import GapPolicy, NoiseSpec, TGTParams, encode
+from .model import GapPolicy, NoiseSpec, TGTParams, _check_noise, encode
 
 SCHEMES = ("thm1", "thm4", "thm5")
 
@@ -412,6 +412,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run all trials; deterministic given the spec (seeds included)."""
     p = spec.params
     matrix, attempts = _resolve_matrix(spec)
+    _check_noise(spec.noise, matrix.rows)
     master = random.Random(spec.seed)
     records = []
     for index in range(1, spec.trials + 1):

@@ -264,6 +264,27 @@ class TestSimulateAndExperiment:
         assert run(capsys, "experiment", "--spec", spec)[0] == 3
 
 
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ("noise=random_flips\nnoise_count=9\n", "cannot flip 9 rows in a 3-row matrix"),
+            ("noise=flip_rows\nnoise_rows=4\n", "flip row 4 out of range 1..3"),
+        ],
+    )
+    def test_experiment_noise_past_the_matrix_is_exit_1(self, capsys, tmp_path, noise, message):
+        ones = tmp_path / "ones.txt"
+        ones.write_text("3 6\n" + "111111\n" * 3)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\n"
+            f"matrix={ones}\ndefectives=1,2\npolicy=always_negative\n{noise}"
+        )
+        code, out, err = run(capsys, "experiment", "--spec", spec)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+
 class TestArgumentErrors:
     def test_bad_flag_value_is_exit_1(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "ten", "--d", 4, "--u", 2,

@@ -31,7 +31,13 @@ from tgtkit import (
     verify_disjunct,
     w_bound,
 )
-from tgtkit.decode import _SCREEN_ROWS, _build_family_reference, _restricted_family
+from tgtkit.decode import (
+    _SCREEN_ROWS,
+    Family,
+    _build_family_reference,
+    _greedy_union,
+    _restricted_family,
+)
 
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
 
@@ -290,6 +296,42 @@ class TestTinySweep:
         assert set(refined) <= set(v)
 
 
+def _greedy_union_rescan(family, g):
+    """Algorithm 2 rescanning from the first unused edge after every pick:
+    the oracle for the one-pass ``_greedy_union``."""
+    current = set(family.edges[0])
+    used = set()
+    for fits in (
+        lambda edge: not current.intersection(edge),
+        lambda edge: len(set(edge) - current) >= g + 1,
+    ):
+        while True:
+            pick = next((e for e in family.edges if e not in used and fits(e)), None)
+            if pick is None:
+                break
+            used.add(pick)
+            current.update(pick)
+    return current
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    u=st.integers(1, 4),
+    g=st.integers(0, 4),
+    rate=st.sampled_from((0.05, 0.2, 0.5, 0.9, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_greedy_union_matches_rescan(n, u, g, rate, seed):
+    rng = random.Random(seed)
+    edges = tuple(
+        c for c in combinations(range(1, n + 1), min(u, n)) if rng.random() < rate
+    )
+    if edges:
+        family = Family(min(u, n), edges)
+        assert _greedy_union(family, g) == _greedy_union_rescan(family, g)
+
+
 class TestNominalSizeWarnings:
     """The greedy and refinement decoders run regardless of the size
     conditions their cost/guarantee statements assume, but they say so."""
@@ -387,3 +429,9 @@ class TestCheckEnvelope:
     def test_range_validated(self, golden_params):
         with pytest.raises(ValidationError):
             check_envelope(ItemSet.of([7]), ItemSet.of([1]), 1, golden_params)
+
+    def test_unknown_algorithm_after_the_range_check(self, golden_params):
+        with pytest.raises(ValidationError, match=r"^unknown algorithm 4 \(expected 1, 2 or 3\)$"):
+            check_envelope(ItemSet.of([1]), ItemSet.of([1]), 4, golden_params)
+        with pytest.raises(ValidationError, match="^item 7 outside 1..6$"):
+            check_envelope(ItemSet.of([7]), ItemSet.of([1]), 4, golden_params)

@@ -40,6 +40,10 @@ def test_matrix_rejects_garbage():
         BinaryMatrix.parse("2 2\n11")  # missing row
     with pytest.raises(ValidationError):
         BinaryMatrix.parse("1 2\nx1")
+    header = '^matrix header must be "t n" with integers$'
+    for head in ("+1 2", "1 0_2", "1 \uff12", "1 2.0"):  # int() takes all but the last
+        with pytest.raises(ValidationError, match=header):
+            BinaryMatrix.parse(head + "\n11")
 
 
 def test_matrix_from_bits_matches_parse():
@@ -82,7 +86,11 @@ def test_negatives_mask_matches_per_bit_reference(t):
 
 
 def test_outcome_entries_equal_to_0_or_1():
-    assert OutcomeVector((0, 1.0, True, False, 0.0)).negatives_mask == 0b11001
+    y = OutcomeVector((0, 1.0, True, False, 0.0))
+    assert y.negatives_mask == 0b11001
+    assert y == OutcomeVector((0, 1, 1, 0, 0)) and hash(y) == hash(OutcomeVector((0, 1, 1, 0, 0)))
+    assert [type(b) for b in y.bits] == [int] * 5
+    assert y.to_text() == "01100\n" and OutcomeVector.parse(y.to_text()) == y
     for bits, shown in (
         ((0, 2), "2"),
         ((1, 48), "48"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -22,7 +23,7 @@ from tgtkit import (
     t0,
 )
 
-from conftest import GOLDEN_DEFECTIVES, GOLDEN_GAP_OVERRIDES, GOLDEN_OUTCOME
+from conftest import GOLDEN_DEFECTIVES, GOLDEN_GAP_OVERRIDES, GOLDEN_OUTCOME, gap_rows_for
 
 
 def _bits(outcome) -> str:
@@ -186,6 +187,8 @@ class TestSettingsBuilders:
             NoiseSpec.from_settings("none", count=-1)
         with pytest.raises(ValidationError, match="unknown gap policy"):
             GapPolicy.from_settings("sometimes")
+        with pytest.raises(ValidationError, match=r"^override row 2\.0 is not an integer$"):
+            GapPolicy.explicit({2.0: 1})
         with pytest.raises(ValidationError, match="unknown noise"):
             NoiseSpec.from_settings("loud")
 
@@ -330,3 +333,171 @@ def test_threshold_and_outcome_length_messages():
         t0(m, short, items)
     with pytest.raises(ValidationError, match=length):
         build_family(m, short, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# per-row reference definitions: the oracles for the masked classifier
+
+
+def _counts(matrix, defectives):
+    x_mask = defectives.to_mask(matrix.cols)
+    return [(mask & x_mask).bit_count() for mask in matrix.row_masks]
+
+
+def _encode_reference(matrix, defectives, ell, u, policy, noise):
+    """``encode`` row by row, with the checks in the same order."""
+    counts = _counts(matrix, defectives)
+    gap_rows = [i + 1 for i, c in enumerate(counts) if ell < c < u]
+    override_map = dict(policy.overrides)
+    if policy.kind == "explicit":
+        for row in override_map:
+            if not 1 <= row <= matrix.rows:
+                raise ValidationError(f"explicit override row {row} out of range")
+            if row not in gap_rows:
+                raise ValidationError(
+                    f"explicit override on row {row}, which is not a gap row "
+                    f"for this defective set"
+                )
+        missing = [r for r in gap_rows if r not in override_map]
+        if missing:
+            raise ValidationError(
+                f"explicit policy must cover every gap row; missing {missing}"
+            )
+    rng = random.Random(policy.seed)
+    bits = []
+    for i, c in enumerate(counts):
+        if c >= u:
+            bits.append(1)
+        elif c <= ell:
+            bits.append(0)
+        elif policy.kind == "always_positive":
+            bits.append(1)
+        elif policy.kind == "always_negative":
+            bits.append(0)
+        elif policy.kind == "bernoulli":
+            bits.append(1 if rng.random() < policy.p else 0)
+        else:
+            bits.append(override_map[i + 1])
+    outcome = OutcomeVector(tuple(bits))
+    if noise.kind == "none":
+        return outcome
+    if noise.kind == "flip_rows":
+        return outcome.flipped(noise.rows)
+    if noise.count > matrix.rows:
+        raise ValidationError(
+            f"cannot flip {noise.count} rows in a {matrix.rows}-row matrix"
+        )
+    return outcome.flipped(
+        random.Random(noise.seed).sample(range(1, matrix.rows + 1), noise.count)
+    )
+
+
+def _check_consistency_reference(matrix, defectives, outcome, ell, u):
+    errors = 0
+    for c, y in zip(_counts(matrix, defectives), outcome.bits):
+        if (c >= u and y == 0) or (c <= ell and y == 1):
+            errors += 1
+    return errors
+
+
+def _bits_or_message(fn, *args):
+    try:
+        return fn(*args).bits
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def encode_case(draw, rows=st.sampled_from(range(1, 41))):
+    """A random design and defective set (empty and full sets included)
+    with thresholds ``0 <= ell < u``.  Sizes come from ``sampled_from``,
+    which draws them uniformly, so that most cases have gap rows."""
+    n = draw(st.sampled_from(range(2, 9)))
+    t = draw(rows)
+    density = draw(st.sampled_from([0.5, 0.25, 0.75, 0.5, 0.25, 0.75, 0.0, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = tuple(
+        sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)
+    )
+    u = draw(st.sampled_from([2, 3, 4, 1]))  # u = 1 has no gap
+    ell = draw(st.integers(min_value=0, max_value=u - 1))
+    size = draw(st.sampled_from(range(n + 1)))
+    defectives = ItemSet.of(rng.sample(range(1, n + 1), size))
+    return BinaryMatrix(t, n, rows), defectives, ell, u
+
+
+@st.composite
+def gap_policy(draw, matrix, defectives, ell, u, kinds=GapPolicy.KINDS):
+    """A policy of one of ``kinds``; explicit overrides are right, miss a
+    gap row, land on a row that is not a gap row, or go past the last row."""
+    kind = draw(st.sampled_from(kinds))
+    if kind != "explicit":
+        p = draw(st.floats(min_value=0.0, max_value=1.0))
+        return GapPolicy(kind, p=p, seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    gap = gap_rows_for(matrix, defectives, ell, u)
+    bit = st.sampled_from([0, 1, False, True, 0.0, 1.0])
+    overrides = {row: draw(bit) for row in gap}
+    flaw = draw(st.sampled_from(["none", "missing", "none", "not_gap", "none", "past_end"]))
+    if flaw == "missing" and overrides:
+        del overrides[draw(st.sampled_from(gap))]
+    elif flaw == "not_gap":
+        overrides[draw(st.integers(min_value=1, max_value=matrix.rows))] = draw(bit)
+    elif flaw == "past_end":
+        overrides[draw(st.integers(min_value=matrix.rows + 1, max_value=matrix.rows + 3))] = 1
+    return GapPolicy("explicit", overrides=tuple(sorted(overrides.items())))
+
+
+@st.composite
+def noise_spec(draw, t):
+    """Any noise kind, with some flips past the last row."""
+    kind = draw(st.sampled_from(NoiseSpec.KINDS))
+    if kind == "flip_rows":
+        rows = draw(st.lists(st.integers(min_value=1, max_value=t + 1), max_size=4))
+        return NoiseSpec("flip_rows", rows=tuple(rows))
+    count = draw(st.integers(min_value=0, max_value=t + 1))
+    return NoiseSpec(kind, count=count, seed=draw(st.integers(min_value=0, max_value=999)))
+
+
+def _assert_encode_matches_reference(data, case, kinds=GapPolicy.KINDS):
+    matrix, defectives, ell, u = case
+    policy = data.draw(gap_policy(matrix, defectives, ell, u, kinds))
+    noise = data.draw(noise_spec(matrix.rows))
+    args = (matrix, defectives, ell, u, policy, noise)
+    got = _bits_or_message(encode, *args)
+    assert got == _bits_or_message(_encode_reference, *args)
+    if not isinstance(got, str):
+        assert {type(b) for b in got} <= {int}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), encode_case())
+def test_encode_matches_per_row_reference(data, case):
+    _assert_encode_matches_reference(data, case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), encode_case())
+def test_explicit_overrides_match_per_row_reference(data, case):
+    _assert_encode_matches_reference(data, case, kinds=("explicit",))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), encode_case(rows=st.integers(min_value=4290, max_value=5000)))
+def test_encode_matches_reference_past_the_int_digit_limit(data, case):
+    # base-2 masks are exempt from the 4,300-digit limit on int/str conversion
+    _assert_encode_matches_reference(data, case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), encode_case())
+def test_check_consistency_matches_per_row_reference(data, case):
+    matrix, defectives, ell, u = case
+    policy = data.draw(st.sampled_from([GapPolicy.always_positive(), GapPolicy.bernoulli(seed=1)]))
+    outcome = encode(matrix, defectives, ell, u, policy)
+    flips = data.draw(st.lists(st.integers(min_value=1, max_value=matrix.rows), max_size=5))
+    other = data.draw(st.sets(st.integers(min_value=1, max_value=matrix.cols)))
+    for truth in (defectives, ItemSet.of(other)):
+        for y in (outcome, outcome.flipped(flips)):
+            assert check_consistency(matrix, truth, y, ell, u) == (
+                _check_consistency_reference(matrix, truth, y, ell, u)
+            )
