@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 from .errors import FeasibilityError, ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
-from .model import TGTParams, _check_outcome_length, t0
+from .model import TGTParams, _check_outcome_length
 
 #: default cap on family construction (number of u-subsets enumerated)
 FAMILY_SUBSET_CAP = 10_000_000
@@ -51,7 +51,7 @@ EXTENSION_STEP_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class Family:
-    """A family of ``u``-subsets of the items (the hypergraph edge set)."""
+    """The edge set: ``u``-subsets of the items as sorted tuples, strictly increasing."""
 
     u: int
     edges: tuple[tuple[int, ...], ...]
@@ -59,13 +59,21 @@ class Family:
 
     def __post_init__(self) -> None:
         for edge in self.edges:
-            if len(edge) != self.u or len(set(edge)) != self.u:
-                raise ValidationError(f"edge {edge} is not a {self.u}-subset")
-            if tuple(sorted(edge)) != edge:
-                raise ValidationError(f"edge {edge} is not sorted")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValidationError("duplicate edges in family")
+            if len(edge) != self.u or tuple(sorted(set(edge))) != edge:
+                raise ValidationError(f"edge {edge} is not a sorted {self.u}-subset")
+            if edge and edge[0] < 1:
+                raise ValidationError(f"edge {edge} has an item below 1")
+        for prev, edge in zip(self.edges, self.edges[1:]):
+            if prev >= edge:
+                raise ValidationError(f"edge {edge} is not after edge {prev}")
         object.__setattr__(self, "edge_set", frozenset(self.edges))
+
+    @classmethod
+    def _of_valid_edges(cls, u: int, edges: tuple[tuple[int, ...], ...]) -> "Family":
+        """The family of edges known to keep the rules above, left unchecked."""
+        family = object.__new__(cls)
+        family.__dict__.update(u=u, edges=edges, edge_set=frozenset(edges))
+        return family
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -127,7 +135,7 @@ def build_family(
         screen = [mask & low_rows for mask in full]
     edges: list[tuple[int, ...]] = []
     _extend_edges(screen, full, u, e, (), -1, -1, 0, edges)
-    return Family(u, tuple(edges))
+    return Family._of_valid_edges(u, tuple(edges))
 
 
 def _extend_edges(
@@ -192,18 +200,6 @@ def _common_rows(masks: list[int], items: tuple[int, ...]) -> int:
     for j in items:
         rows &= masks[j - 1]
     return rows
-
-
-def _build_family_reference(
-    matrix: BinaryMatrix, outcome: OutcomeVector, u: int, e: int
-) -> Family:
-    """Per-subset scan of ``t0``: the test oracle for :func:`build_family`."""
-    edges = tuple(
-        combo
-        for combo in combinations(range(1, matrix.cols + 1), u)
-        if t0(matrix, outcome, ItemSet(combo)) <= e
-    )
-    return Family(u, edges)
 
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
@@ -290,7 +286,7 @@ def _restricted_family(family: Family, vertices: Iterable[int]) -> Family:
     of ``vertices`` with ``t0 <= e``, by the definition of an edge."""
     inside = frozenset(vertices)
     edges = tuple(edge for edge in family.edges if inside.issuperset(edge))
-    return Family(family.u, edges)
+    return Family._of_valid_edges(family.u, edges)
 
 
 def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]:
@@ -357,6 +353,8 @@ def decode_from_family(
     """
     if family.u != params.u:
         raise ValidationError(f"family has u={family.u}, params have u={params.u}")
+    if (top := max((edge[-1] for edge in family.edges), default=0)) > params.n:
+        raise ValidationError(f"family has item {top} outside 1..{params.n}")
     _announce(params, algorithm)
     return _decode_family(family, params, algorithm, step_cap)
 

@@ -7,6 +7,8 @@ Conventions used across the package:
 * Internally a row is a single Python integer used as a bitmask, with bit
   ``j - 1`` standing for item ``j``; a column is likewise a bitmask over
   rows.  All set intersections reduce to ``&`` plus a popcount.
+* An outcome ``OutcomeVector(t, positives)`` is a mask too, with bit ``i - 1`` set
+  when test ``i`` is positive; ``from_bits`` builds one from 0/1 entries, checking each.
 
 Text formats (used by the CLI and by experiment specs):
 
@@ -201,46 +203,35 @@ class BinaryMatrix:
         return self.col_masks[col - 1].bit_count()
 
 
-#: maps outcome bytes to binary digits of the negatives mask (0 -> "1")
-_NEGATIVE_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
-
-
 @dataclass(frozen=True)
 class OutcomeVector:
-    """Length-``t`` vector of test outcomes (1 positive, 0 negative).  Any
-    sequence of entries equal to 0 or 1 is stored as a tuple of the ints."""
+    """``t`` test outcomes: test ``i`` is positive iff ``positives`` has bit ``i - 1``."""
 
-    bits: tuple[int, ...]
-    negatives_mask: int = field(init=False, repr=False, compare=False)
+    t: int
+    positives: int
 
     def __post_init__(self) -> None:
-        bits = self.bits
+        t, p = self.t, self.positives
+        if not (isinstance(t, int) and isinstance(p, int)) or t < 1 or p < 0 or p >> t:
+            raise ValidationError(f"outcome mask {p} does not fit {t} tests")
+
+    @classmethod
+    def from_bits(cls, bits: Iterable[int]) -> "OutcomeVector":
+        """Outcome whose test ``i`` is entry ``i - 1``, an entry equal to 0 or 1."""
+        bits = tuple(bits)
         if not bits:
             raise ValidationError("outcome vector must not be empty")
-        try:
-            raw = bytes(bits)
-        except (TypeError, ValueError):  # entries such as 1.0 or out of byte range
-            raw = bytes(0 if b == 0 else 1 if b == 1 else 2 for b in bits)
-        if raw.count(0) + raw.count(1) != len(bits):
-            bad = next(b for b in bits if b not in (0, 1))
-            raise ValidationError(f"outcome entry {bad!r} is not 0/1")
-        negatives = _digits_to_mask(raw.translate(_NEGATIVE_DIGITS))
-        object.__setattr__(self, "bits", tuple(raw))
-        object.__setattr__(self, "negatives_mask", negatives)
+        for bit in bits:
+            if bit not in (0, 1):
+                raise ValidationError(f"outcome entry {bit!r} is not 0/1")
+        return cls.parse("".join("1" if bit else "0" for bit in bits))
 
     @classmethod
     def parse(cls, text: str) -> "OutcomeVector":
         line = text.strip()
         if not line or set(line) - {"0", "1"}:
             raise ValidationError("outcome file must be one line of 0/1 characters")
-        return cls(line.encode().translate(_DIGIT_VALUES))
-
-    @classmethod
-    def from_mask(cls, positives: int, t: int) -> "OutcomeVector":
-        """Outcome of ``t`` tests, test ``i`` being bit ``i - 1`` of ``positives``."""
-        if t < 1 or positives < 0 or positives >> t:
-            raise ValidationError(f"outcome mask {positives} does not fit {t} tests")
-        return cls(_mask_to_digits(positives, t).encode().translate(_DIGIT_VALUES))
+        return cls(len(line), _digits_to_mask(line))
 
     @classmethod
     def load(cls, path: str | Path) -> "OutcomeVector":
@@ -250,20 +241,28 @@ class OutcomeVector:
             raise ValidationError(f"cannot read outcome file {path}: {exc}") from None
         return cls.parse(text)
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The ``t`` outcomes as 0/1 ints, test 1 first."""
+        return tuple(self.to_text()[:-1].encode().translate(_DIGIT_VALUES))
+
+    @property
+    def negatives_mask(self) -> int:
+        """Mask of the negative tests, test ``i`` being bit ``i - 1``."""
+        return ~self.positives & ((1 << self.t) - 1)
+
     def to_text(self) -> str:
-        return "".join(str(b) for b in self.bits) + "\n"
+        return _mask_to_digits(self.positives, self.t) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text(), encoding="ascii")
 
     def flipped(self, rows: Iterable[int]) -> "OutcomeVector":
         """Copy with the given 1-based rows flipped."""
-        bits = list(self.bits)
-        for r in sorted(set(rows)):
-            if not 1 <= r <= len(bits):
-                raise ValidationError(f"flip row {r} out of range 1..{len(bits)}")
-            bits[r - 1] ^= 1
-        return OutcomeVector(tuple(bits))
+        rows = set(rows)
+        if outside := [r for r in sorted(rows) if not 1 <= r <= self.t]:
+            raise ValidationError(f"flip row {outside[0]} out of range 1..{self.t}")
+        return OutcomeVector(self.t, self.positives ^ _positions_to_mask(rows, self.t))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.t

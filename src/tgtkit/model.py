@@ -170,6 +170,8 @@ class NoiseSpec:
             raise ValidationError(f"unknown noise spec {self.kind!r}")
         if self.count < 0:
             raise ValidationError("flip count must be non-negative")
+        if bad := [row for row in self.rows if not isinstance(row, int)]:
+            raise ValidationError(f"flip row {bad[0]!r} is not an integer")
 
     @classmethod
     def from_settings(cls, kind: str, rows_text: str = "", count: int = 0, seed: int = 0,
@@ -282,7 +284,7 @@ def encode(
     flips = noise.rows if noise.kind == "flip_rows" else ()
     if noise.kind == "random_flips":
         flips = random.Random(noise.seed).sample(range(1, t + 1), noise.count)
-    return OutcomeVector.from_mask(positive ^ _positions_to_mask(set(flips), t), t)
+    return OutcomeVector(t, positive ^ _positions_to_mask(set(flips), t))
 
 
 def check_consistency(

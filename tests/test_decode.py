@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -34,12 +35,21 @@ from tgtkit import (
 from tgtkit.decode import (
     _SCREEN_ROWS,
     Family,
-    _build_family_reference,
     _greedy_union,
     _restricted_family,
 )
 
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
+
+
+def _build_family_reference(matrix, outcome, u, e):
+    """Per-subset scan of ``t0``: the test oracle for :func:`build_family`."""
+    edges = tuple(
+        combo
+        for combo in combinations(range(1, matrix.cols + 1), u)
+        if t0(matrix, outcome, ItemSet(combo)) <= e
+    )
+    return Family(u, edges)
 
 
 class TestBuildFamily:
@@ -59,7 +69,7 @@ class TestBuildFamily:
 
         # every pair of items is pooled together somewhere, so with every
         # outcome negative no pair survives t0 <= 0
-        y = OutcomeVector(tuple([0] * 20))
+        y = OutcomeVector.from_bits(tuple([0] * 20))
         assert build_family(golden_matrix, y, 2, 0).edges == ()
 
     def test_subset_cap(self, golden_matrix, golden_outcome):
@@ -108,7 +118,7 @@ class TestBuildFamily:
         matrix = BinaryMatrix.from_bits(
             [[int(rng.random() < density) for _ in range(n)] for _ in range(t)]
         )
-        outcome = OutcomeVector(
+        outcome = OutcomeVector.from_bits(
             tuple(
                 1 if i < positive_head or rng.random() >= negative_rate else 0
                 for i in range(t)
@@ -125,7 +135,7 @@ class TestBuildFamily:
             12,
             tuple(rng.getrandbits(12) for _ in range(2 * _SCREEN_ROWS)),
         )
-        outcome = OutcomeVector(
+        outcome = OutcomeVector.from_bits(
             tuple(int(rng.random() < 0.99) for _ in range(matrix.rows))
         )
         gc.collect()
@@ -136,6 +146,56 @@ class TestBuildFamily:
         finally:
             gc.enable()
         assert fam.edges
+
+
+class TestFamilyRules:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((1, 2), (1, 2, 3)), "edge (1, 2, 3) is not a sorted 2-subset"),
+            (((1, 1),), "edge (1, 1) is not a sorted 2-subset"),
+            (((2, 1),), "edge (2, 1) is not a sorted 2-subset"),
+            (((1, 3), (1, 2)), "edge (1, 2) is not after edge (1, 3)"),
+            (((1, 2), (1, 3), (1, 3)), "edge (1, 3) is not after edge (1, 3)"),
+            (((0, 2),), "edge (0, 2) has an item below 1"),
+            (((-3, -1),), "edge (-3, -1) has an item below 1"),
+        ],
+    )
+    def test_public_constructor_rejects(self, edges, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Family(2, edges)
+
+    def test_edge_order_is_enforced(self):
+        # the decoders take the first edge that fits, so the edge order
+        # decides the output: a family in another order is refused, not
+        # decoded to another set
+        edges = tuple(combinations(range(1, 7), 2))
+        params = TGTParams(6, 4, 0, 2, 1)
+        result = decode_from_family(Family(2, edges), params, 1)
+        assert result.recovered.members == (1, 3, 4, 5)
+        reversed_order = r"^edge \(4, 6\) is not after edge \(5, 6\)$"
+        with pytest.raises(ValidationError, match=reversed_order):
+            Family(2, edges[::-1])
+
+    def test_library_families_skip_the_checks(self, monkeypatch, golden_matrix,
+                                              golden_outcome, golden_params):
+        checked = []
+        post_init = Family.__post_init__
+
+        def counting_post_init(self):
+            checked.append(self.edges)
+            post_init(self)
+
+        monkeypatch.setattr(Family, "__post_init__", counting_post_init)
+        fam = build_family(golden_matrix, golden_outcome, 2, 1)
+        inner = _restricted_family(fam, (1, 2, 3, 5))
+        for alg in (1, 2, 3):
+            decode(golden_outcome, golden_matrix, golden_params, alg)
+        assert checked == []
+        for family in (fam, inner):
+            assert family == Family(family.u, family.edges)
+            assert family.edge_set == frozenset(family.edges)
+        assert len(checked) == 2
 
 
 class TestUComplete:
@@ -196,7 +256,7 @@ class TestGoldenDecodes:
         rng = random.Random(11)
         for _ in range(20):
             matrix = BinaryMatrix(40, 8, tuple(rng.getrandbits(8) for _ in range(40)))
-            outcome = OutcomeVector(tuple(rng.randint(0, 1) for _ in range(40)))
+            outcome = OutcomeVector.from_bits(tuple(rng.randint(0, 1) for _ in range(40)))
             for u, e in ((2, 0), (2, 1), (3, 1)):
                 fam = build_family(matrix, outcome, u, e)
                 for size in range(u, 9):
@@ -222,6 +282,8 @@ class TestGoldenDecodes:
             )
         with pytest.raises(FeasibilityError):
             decode_from_family(fam, golden_params, 1, step_cap=1)
+        with pytest.raises(ValidationError, match=r"^family has item 99 outside 1\.\.6$"):
+            decode_from_family(Family(2, ((1, 99),)), golden_params, 2)
 
     def test_dispatch(self, golden_matrix, golden_outcome, golden_params):
         for alg, expected in ((1, (1, 2, 4, 5)), (2, (1, 2, 3, 5)), (3, (2, 3, 5))):

@@ -82,13 +82,15 @@ def test_negatives_mask_matches_per_bit_reference(t):
         for i, b in enumerate(bits):
             if b == 0:
                 reference |= 1 << i
-        assert OutcomeVector(bits).negatives_mask == reference
+        assert OutcomeVector.from_bits(bits).negatives_mask == reference
 
 
 def test_outcome_entries_equal_to_0_or_1():
-    y = OutcomeVector((0, 1.0, True, False, 0.0))
+    y = OutcomeVector.from_bits((0, 1.0, True, False, 0.0))
     assert y.negatives_mask == 0b11001
-    assert y == OutcomeVector((0, 1, 1, 0, 0)) and hash(y) == hash(OutcomeVector((0, 1, 1, 0, 0)))
+    assert y == OutcomeVector.from_bits((0, 1, 1, 0, 0)) and (
+        hash(y) == hash(OutcomeVector.from_bits((0, 1, 1, 0, 0)))
+    )
     assert [type(b) for b in y.bits] == [int] * 5
     assert y.to_text() == "01100\n" and OutcomeVector.parse(y.to_text()) == y
     for bits, shown in (
@@ -102,7 +104,77 @@ def test_outcome_entries_equal_to_0_or_1():
         ((2, 3), "2"),
     ):
         with pytest.raises(ValidationError, match=rf"^outcome entry {re.escape(shown)} is not 0/1$"):
-            OutcomeVector(bits)
+            OutcomeVector.from_bits(bits)
+
+
+def test_outcome_constructor_checks_the_mask():
+    assert OutcomeVector(4, 0b0110) == OutcomeVector.parse("0110")
+    assert OutcomeVector(1, 0) == OutcomeVector.from_bits([0])
+    for t, positives in ((4, 16), (4, -1), (0, 0), (-2, 0), (2.0, 1), (2, 1.0), ("3", 1)):
+        message = f"outcome mask {positives} does not fit {t} tests"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            OutcomeVector(t, positives)
+    for empty in ((), iter(())):
+        with pytest.raises(ValidationError, match="^outcome vector must not be empty$"):
+            OutcomeVector.from_bits(empty)
+    assert OutcomeVector.from_bits(iter([0, 1, 1])) == OutcomeVector(3, 0b110)
+
+
+class _PerBitOutcome:
+    """An outcome kept as a tuple of 0/1 entries, each method one pass over
+    them: the oracle for the mask-backed :class:`OutcomeVector`."""
+
+    def __init__(self, bits):
+        self.bits = tuple(bits)
+
+    def negatives_mask(self):
+        return sum(1 << i for i, b in enumerate(self.bits) if b == 0)
+
+    def to_text(self):
+        return "".join(str(b) for b in self.bits) + "\n"
+
+    def flipped(self, rows):
+        bits = list(self.bits)
+        for r in sorted(set(rows)):
+            if not 1 <= r <= len(bits):
+                raise ValidationError(f"flip row {r} out of range 1..{len(bits)}")
+            bits[r - 1] ^= 1
+        return _PerBitOutcome(bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.integers(1, 5000),
+    density=st.sampled_from((0.0, 0.01, 0.5, 0.99, 1.0)),
+    picks=st.lists(st.integers(0, 2**16), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(t=1, density=0.0, picks=[2], seed=0)
+@example(t=4300, density=0.5, picks=[4301, 2], seed=1)
+@example(t=4301, density=0.5, picks=[4302], seed=2)
+@example(t=5000, density=1.0, picks=[5001, 5002], seed=3)
+def test_outcome_matches_per_bit_reference(t, density, picks, seed):
+    # t past 4,300 digits crosses the default limit on int/str conversions;
+    # flip rows run from -1 to t + 1, so some are out of range
+    flips = [pick % (t + 3) - 1 for pick in picks]
+    rng = random.Random(seed)
+    ref = _PerBitOutcome(int(rng.random() < density) for _ in range(t))
+    y = OutcomeVector.from_bits(ref.bits)
+    assert y.bits == ref.bits and [type(b) for b in y.bits[:3]] == [int] * min(t, 3)
+    assert y.negatives_mask == ref.negatives_mask()
+    assert y.to_text() == ref.to_text()
+    assert OutcomeVector.parse(ref.to_text()) == y and len(y) == t
+    try:
+        ref_flipped = ref.flipped(flips)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            y.flipped(flips)
+        return
+    z = y.flipped(flips)
+    assert z.bits == ref_flipped.bits
+    assert (z == y) == (ref_flipped.bits == ref.bits)
+    assert z == OutcomeVector.from_bits(ref_flipped.bits)
+    assert hash(z) == hash(OutcomeVector.from_bits(ref_flipped.bits))
 
 
 def test_outcome_file_io(tmp_path):
@@ -178,7 +250,7 @@ def test_itemset_mask_round_trip(mask):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
 def test_outcome_text_round_trip(bits):
-    y = OutcomeVector(tuple(bits))
+    y = OutcomeVector.from_bits(tuple(bits))
     assert y.to_text() == "".join(map(str, bits)) + "\n"
     assert OutcomeVector.parse(y.to_text()) == y
 
@@ -201,7 +273,7 @@ def test_codec_is_exempt_from_the_int_digit_limit():
         tall = BinaryMatrix(5000, 1, (1, 0) * half)
         assert tall.col_masks == (int("01" * half, 2),)
         assert BinaryMatrix.parse(tall.to_text()) == tall
-        y = OutcomeVector((0, 1) * half)
+        y = OutcomeVector.from_bits((0, 1) * half)
         assert y.negatives_mask == int("01" * half, 2)
         assert OutcomeVector.parse(y.to_text()) == y
         assert ItemSet.from_mask(1 << 4999).members == (5000,)

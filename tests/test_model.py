@@ -192,6 +192,17 @@ class TestSettingsBuilders:
         with pytest.raises(ValidationError, match="unknown noise"):
             NoiseSpec.from_settings("loud")
 
+    def test_non_integer_flip_row_is_rejected_with_the_spec(self):
+        message = r"^flip row 2\.0 is not an integer$"
+        with pytest.raises(ValidationError, match=message):
+            NoiseSpec.flip_rows([2.0])
+        with pytest.raises(ValidationError, match=message):
+            NoiseSpec("none", rows=(1, 2.0))
+        m = BinaryMatrix(3, 4, (0b0011, 0b0110, 0b1100))
+        with pytest.raises(ValidationError, match=message):
+            encode(m, ItemSet.of([1, 2]), 0, 2, GapPolicy.always_negative(),
+                   NoiseSpec.flip_rows([2.0]))
+
 
 class TestCheckConsistency:
     def test_clean_replay_is_zero(self, golden_matrix, golden_defectives, golden_outcome):
@@ -324,8 +335,8 @@ def test_threshold_and_outcome_length_messages():
     with pytest.raises(ValidationError, match=thresholds):
         encode(m, items, 2, 2, GapPolicy.always_negative())
     with pytest.raises(ValidationError, match=thresholds):
-        check_consistency(m, items, OutcomeVector((0, 0, 0)), 2, 2)
-    short = OutcomeVector((0, 1))
+        check_consistency(m, items, OutcomeVector.from_bits((0, 0, 0)), 2, 2)
+    short = OutcomeVector.from_bits((0, 1))
     length = "^outcome has 2 entries for a 3-row matrix$"
     with pytest.raises(ValidationError, match=length):
         check_consistency(m, items, short, 0, 2)
@@ -378,7 +389,7 @@ def _encode_reference(matrix, defectives, ell, u, policy, noise):
             bits.append(1 if rng.random() < policy.p else 0)
         else:
             bits.append(override_map[i + 1])
-    outcome = OutcomeVector(tuple(bits))
+    outcome = OutcomeVector.from_bits(tuple(bits))
     if noise.kind == "none":
         return outcome
     if noise.kind == "flip_rows":

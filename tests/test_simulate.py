@@ -288,7 +288,7 @@ def test_spec_and_cli_build_the_same_policy_and_noise(golden_path, values):
 
     def fake_encode(matrix, defectives, ell, u, policy, noise):
         built.append((policy, noise))
-        return OutcomeVector((0,) * matrix.rows)
+        return OutcomeVector.from_bits((0,) * matrix.rows)
 
     argv = ["encode", "--matrix", str(golden_path), "--defectives", "1,2,4,5",
             "--ell", "0", "--u", "2"]
