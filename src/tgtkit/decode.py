@@ -25,6 +25,17 @@ Each decoder is a function of the edge family alone: :func:`build_family`
 runs once per decode, and :func:`decode_from_family` runs any of the three
 on a family already built.
 
+The swap extension of algorithms 1 and 3 is a pruned search.  Its current
+set ``S`` is always u-complete (it starts as an edge, and each step returns
+a u-complete set), so for a fixed ``A`` every non-edge ``u``-subset ``T``
+of ``S ∪ A`` meets ``A``, and ``(S ∪ A) \\ B`` is u-complete iff ``B``
+hits ``T ∩ S`` for every such ``T``.  A non-edge inside ``A`` rules out
+``A`` whatever ``B`` is, and a pool item that no ``g``-subset of ``S`` can
+serve on its own is dropped before any ``A`` is formed.  The result is
+the same lexicographically first swap as checking every pair, and the
+``step_cap`` of a step still counts all ``C(|pool|, g + 1) * C(|S|, g)``
+pairs, not the ones the pruning leaves.
+
 Every choice the underlying procedures leave open ("an arbitrary edge",
 "check all possible cases") is resolved lexicographically over sorted item
 tuples, so decoding is deterministic.
@@ -231,9 +242,21 @@ def _first_u_complete_extension(
 ) -> Optional[frozenset]:
     """Lexicographically first ``(S ∪ A) \\ B`` that is u-complete.
 
-    ``A`` runs over ``(g + 1)``-subsets of ``pool`` (items outside the
-    current set), ``B`` over ``g``-subsets of the current set, both in
-    lexicographic order with ``A`` outermost.
+    ``A`` runs over ``(g + 1)``-subsets of ``pool`` (sorted items outside
+    the current set ``S``), ``B`` over ``g``-subsets of ``S``, both in
+    lexicographic order with ``A`` outermost.  ``S`` must be u-complete.
+
+    Since ``S`` is u-complete, every non-edge ``u``-subset ``T`` of
+    ``S ∪ A`` meets ``A``, and the candidate is u-complete iff ``B`` hits
+    ``T ∩ S`` for every such ``T``: a hitting-set condition that splits by
+    the part ``T ∩ A``.  A pool item ``x`` whose own non-edges
+    ``{x} ∪ (u - 1)-subset of S`` no ``B`` can hit is dropped before any
+    ``A`` is formed, and an ``A`` prefix that no ``B`` can serve ends its
+    branch.  For each surviving ``A`` the allowed ``B`` are one bitmask over
+    the ``B`` in lexicographic order, so its lowest bit is the first ``B``.
+    ``step_cap`` bounds the unpruned count
+    ``C(|pool|, g + 1) * C(|S|, g)`` of candidate pairs, whatever the
+    pruning skips.  For ``g = 0`` each candidate is checked directly.
     """
     if len(pool) < g + 1:
         return None
@@ -242,14 +265,66 @@ def _first_u_complete_extension(
         raise FeasibilityError(
             f"extension step would check {work} candidate pairs > cap {step_cap}"
         )
-    cur_sorted = tuple(sorted(current))
-    for a in combinations(pool, g + 1):
-        grown = current | set(a)
-        for b in combinations(cur_sorted, g):
-            candidate = grown - set(b)
+    if g == 0:
+        for a in pool:
+            candidate = current | {a}
             if is_u_complete(family, candidate):
-                return frozenset(candidate)
-    return None
+                return candidate
+        return None
+    u, edge_set = family.u, family.edge_set
+    cur_sorted = tuple(sorted(current))
+    b_sets = tuple(combinations(cur_sorted, g))
+    holders = dict.fromkeys(cur_sorted, 0)  # bit i of holders[j]: b_sets[i] holds j
+    for i, b in enumerate(b_sets):
+        for j in b:
+            holders[j] |= 1 << i
+    every_b = (1 << len(b_sets)) - 1
+
+    def allowed(part: tuple[int, ...]) -> int:
+        """The B hitting ``T ∩ S`` for every non-edge ``T`` with ``T ∩ A == part``."""
+        mask = every_b
+        for rest in combinations(cur_sorted, u - len(part)):
+            if tuple(sorted(part + rest)) not in edge_set:
+                hit = 0
+                for j in rest:
+                    hit |= holders[j]
+                mask &= hit
+                if not mask:
+                    break
+        return mask
+
+    single = {x: allowed((x,)) for x in pool}
+    live = tuple(x for x in pool if single[x])
+
+    def search(prefix: tuple[int, ...], start: int, mask: int):
+        """First ``A`` extending ``prefix`` by ``live[start:]``, with its B mask."""
+        for k in range(start, len(live) - g + len(prefix)):
+            x = live[k]
+            grown_mask = mask & single[x]
+            parts = (
+                part + (x,)
+                for size in range(1, min(u, len(prefix) + 1))
+                for part in combinations(prefix, size)
+            )
+            for part in parts:
+                if not grown_mask:
+                    break
+                grown_mask &= allowed(part)
+            if not grown_mask:
+                continue
+            if len(prefix) == g:
+                return prefix + (x,), grown_mask
+            found = search(prefix + (x,), k + 1, grown_mask)
+            if found is not None:
+                return found
+        return None
+
+    found = search((), 0, every_b)
+    if found is None:
+        return None
+    a, mask = found
+    b = b_sets[(mask & -mask).bit_length() - 1]
+    return current.union(a).difference(b)
 
 
 def _swap_extend(

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import re
+import warnings
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,9 +37,12 @@ from tgtkit import (
 )
 from tgtkit.decode import (
     _SCREEN_ROWS,
+    EXTENSION_STEP_CAP,
     Family,
+    _first_u_complete_extension,
     _greedy_union,
     _restricted_family,
+    _swap_extend,
 )
 
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
@@ -50,6 +56,32 @@ def _build_family_reference(matrix, outcome, u, e):
         if t0(matrix, outcome, ItemSet(combo)) <= e
     )
     return Family(u, edges)
+
+
+def _first_u_complete_extension_reference(
+    family: Family,
+    current: frozenset,
+    pool: tuple[int, ...],
+    g: int,
+    step_cap: int,
+):
+    """Every (A, B) pair in order, each candidate checked in full: the test
+    oracle for the pruned :func:`_first_u_complete_extension`."""
+    if len(pool) < g + 1:
+        return None
+    work = math.comb(len(pool), g + 1) * math.comb(len(current), g)
+    if work > step_cap:
+        raise FeasibilityError(
+            f"extension step would check {work} candidate pairs > cap {step_cap}"
+        )
+    cur_sorted = tuple(sorted(current))
+    for a in combinations(pool, g + 1):
+        grown = current | set(a)
+        for b in combinations(cur_sorted, g):
+            candidate = grown - set(b)
+            if is_u_complete(family, candidate):
+                return frozenset(candidate)
+    return None
 
 
 class TestBuildFamily:
@@ -392,6 +424,98 @@ def test_greedy_union_matches_rescan(n, u, g, rate, seed):
     if edges:
         family = Family(min(u, n), edges)
         assert _greedy_union(family, g) == _greedy_union_rescan(family, g)
+
+
+def _outcome_or_error(run):
+    """What ``run()`` returns, or the message of the FeasibilityError it raises."""
+    try:
+        return run()
+    except FeasibilityError as exc:
+        return ("FeasibilityError", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    u=st.integers(1, 4),
+    g=st.integers(0, 3),
+    d_offset=st.integers(0, 11),
+    rate=st.sampled_from((0.3, 0.6, 0.85, 0.95, 1.0)),
+    step_cap=st.one_of(st.just(EXTENSION_STEP_CAP), st.integers(0, 60)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swap_extension_matches_reference(n, u, g, d_offset, rate, step_cap, seed):
+    # the pruned search returns what checking every (A, B) pair returns,
+    # raises the same cap error, and only returns u-complete sets
+    u = min(u, n)
+    d = u + d_offset % (n - u + 1)
+    rng = random.Random(seed)
+    edges = tuple(c for c in combinations(range(1, n + 1), u) if rng.random() < rate)
+    if not edges:
+        return
+    family = Family(u, edges)
+    universe = tuple(range(1, n + 1))
+    oracle = mock.patch(
+        "tgtkit.decode._first_u_complete_extension",
+        _first_u_complete_extension_reference,
+    )
+
+    def swap():
+        return _swap_extend(family, universe, d, g, step_cap)
+
+    found = _outcome_or_error(swap)
+    with oracle:
+        assert found == _outcome_or_error(swap)
+    if isinstance(found, frozenset):
+        assert is_u_complete(family, found)
+
+    if g < u and d < n:  # algorithms 1 and 3 through the public path
+        params = TGTParams(n=n, d=d, ell=u - g - 1, u=u)
+        for alg in (1, 3):
+
+            def run(alg=alg):
+                return decode_from_family(family, params, alg, step_cap)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = _outcome_or_error(run)
+                with oracle:
+                    assert result == _outcome_or_error(run)
+            if not isinstance(result, tuple):
+                assert is_u_complete(family, result.recovered)
+
+    # one step from a random u-complete set grown out of a random edge
+    current = set(rng.choice(edges))
+    for item in rng.sample(universe, n):
+        if len(current) >= d:
+            break
+        if item not in current and is_u_complete(family, current | {item}):
+            current.add(item)
+    current = frozenset(current)
+    pool = tuple(j for j in universe if j not in current)
+    step = _outcome_or_error(
+        lambda: _first_u_complete_extension(family, current, pool, g, step_cap)
+    )
+    assert step == _outcome_or_error(
+        lambda: _first_u_complete_extension_reference(family, current, pool, g, step_cap)
+    )
+    if isinstance(step, frozenset):
+        assert len(step) == len(current) + 1 and is_u_complete(family, step)
+
+
+def test_step_cap_counts_unpruned_pairs():
+    # from {1, 2}, eight of the ten pool items have an edge to neither 1
+    # nor 2, so the pool filter drops them and only A = (3, 4) is formed;
+    # the cap still counts all C(10, 2) * C(2, 1) = 90 pairs of the step
+    family = Family(2, ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4)))
+    params = TGTParams(n=12, d=3, ell=0, u=2)
+    found = decode_from_family(family, params, 1, step_cap=90)
+    assert found.recovered.members == (1, 3, 4)
+    with pytest.raises(
+        FeasibilityError,
+        match=r"^extension step would check 90 candidate pairs > cap 89$",
+    ):
+        decode_from_family(family, params, 1, step_cap=89)
 
 
 class TestNominalSizeWarnings:
