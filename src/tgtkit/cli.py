@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import appendix_gap_check, complexity
-from .decode import EXTENSION_STEP_CAP, FAMILY_SUBSET_CAP, decode
+from .decode import decode
 from .disjunct import (
     VERIFY_PAIR_CAP, generate, generate_verified, rows_thm1, rows_thm4, rows_thm5,
     verify_disjunct,
@@ -43,17 +43,6 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValidationError(f"cannot parse {what} list {text!r}") from None
-
-
-def _cap(text: str) -> int:
-    """A cap flag's value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _cmd_gen(args) -> int:
@@ -130,9 +119,7 @@ def _cmd_decode(args) -> int:
     matrix = BinaryMatrix.load(args.matrix)
     outcome = OutcomeVector.load(args.outcome)
     params = TGTParams(n=matrix.cols, d=args.d, ell=args.ell, u=args.u, z=args.z)
-    result = decode(
-        outcome, matrix, params, args.alg, args.subset_cap, args.step_cap
-    )
+    result = decode(outcome, matrix, params, args.alg)
     print(f"s_prime={result.recovered.format()}")
     print(f"max_false_positives={result.max_false_positives}")
     print(f"max_false_negatives={result.max_false_negatives}")
@@ -247,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--subset-cap", type=_cap, default=FAMILY_SUBSET_CAP,
-                   help="most u-subsets the family may enumerate")
-    p.add_argument("--step-cap", type=_cap, default=EXTENSION_STEP_CAP,
-                   help="most (A, B) pairs one extension step may count")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("complexity", help="closed-form decoding cost")

@@ -31,10 +31,10 @@ a u-complete set), so for a fixed ``A`` every non-edge ``u``-subset ``T``
 of ``S ∪ A`` meets ``A``, and ``(S ∪ A) \\ B`` is u-complete iff ``B``
 hits ``T ∩ S`` for every such ``T``.  A non-edge inside ``A`` rules out
 ``A`` whatever ``B`` is, and a pool item that no ``g``-subset of ``S`` can
-serve on its own is dropped before any ``A`` is formed.  The result is
-the same lexicographically first swap as checking every pair, and the
-``step_cap`` of a step still counts all ``C(|pool|, g + 1) * C(|S|, g)``
-pairs, not the ones the pruning leaves.
+serve on its own enters no ``A``.  The result is the same lexicographically
+first swap as checking every pair, and the ``step_cap`` of a step still
+counts all ``C(|pool|, g + 1) * C(|S|, g)`` pairs, not the ones the pruning
+leaves.
 
 Every choice the underlying procedures leave open ("an arbitrary edge",
 "check all possible cases") is resolved lexicographically over sorted item
@@ -250,13 +250,14 @@ def _first_u_complete_extension(
     ``S ∪ A`` meets ``A``, and the candidate is u-complete iff ``B`` hits
     ``T ∩ S`` for every such ``T``: a hitting-set condition that splits by
     the part ``T ∩ A``.  A pool item ``x`` whose own non-edges
-    ``{x} ∪ (u - 1)-subset of S`` no ``B`` can hit is dropped before any
-    ``A`` is formed, and an ``A`` prefix that no ``B`` can serve ends its
-    branch.  For each surviving ``A`` the allowed ``B`` are one bitmask over
+    ``{x} ∪ (u - 1)-subset of S`` no ``B`` can hit enters no ``A``, and an
+    ``A`` prefix that no ``B`` can serve ends its branch.  For each surviving ``A`` the allowed ``B`` are one bitmask over
     the ``B`` in lexicographic order, so its lowest bit is the first ``B``.
-    ``step_cap`` bounds the unpruned count
-    ``C(|pool|, g + 1) * C(|S|, g)`` of candidate pairs, whatever the
-    pruning skips.  For ``g = 0`` each candidate is checked directly.
+    Each item's own mask is computed when the search first reaches it, so
+    the search stops at the first ``A`` that passes; for ``g = 0`` that is
+    the first ``x`` with ``S ∪ {x}`` u-complete.  ``step_cap`` bounds the
+    unpruned count ``C(|pool|, g + 1) * C(|S|, g)`` of candidate pairs,
+    whatever the pruning skips.
     """
     if len(pool) < g + 1:
         return None
@@ -265,12 +266,6 @@ def _first_u_complete_extension(
         raise FeasibilityError(
             f"extension step would check {work} candidate pairs > cap {step_cap}"
         )
-    if g == 0:
-        for a in pool:
-            candidate = current | {a}
-            if is_u_complete(family, candidate):
-                return candidate
-        return None
     u, edge_set = family.u, family.edge_set
     cur_sorted = tuple(sorted(current))
     b_sets = tuple(combinations(cur_sorted, g))
@@ -293,13 +288,14 @@ def _first_u_complete_extension(
                     break
         return mask
 
-    single = {x: allowed((x,)) for x in pool}
-    live = tuple(x for x in pool if single[x])
+    single: dict[int, int] = {}  # allowed((x,)), filled as the search reaches x
 
     def search(prefix: tuple[int, ...], start: int, mask: int):
-        """First ``A`` extending ``prefix`` by ``live[start:]``, with its B mask."""
-        for k in range(start, len(live) - g + len(prefix)):
-            x = live[k]
+        """First ``A`` extending ``prefix`` by ``pool[start:]``, with its B mask."""
+        for k in range(start, len(pool) - g + len(prefix)):
+            x = pool[k]
+            if x not in single:
+                single[x] = allowed((x,))
             grown_mask = mask & single[x]
             parts = (
                 part + (x,)

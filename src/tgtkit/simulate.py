@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .decode import EXTENSION_STEP_CAP, FAMILY_SUBSET_CAP, check_envelope, decode
+from .decode import check_envelope, decode
 from .disjunct import generate, generate_verified, rows_thm1, rows_thm4, rows_thm5
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
@@ -141,7 +141,7 @@ _EXPERIMENT_KEYS = {
     "defectives", "s_size",
     "policy", "bernoulli_p", "policy_rows",
     "noise", "noise_rows", "noise_count",
-    "verified", "subset_cap", "step_cap",
+    "verified",
 }
 
 #: accepted values of ``verified=`` (case-insensitive)
@@ -162,9 +162,7 @@ class ExperimentSpec:
     size-``s`` set per trial).  ``verified=true`` asserts the matrix is
     disjunct, so an envelope failure is a defect; it is implied by
     ``generate=verified``, and the value must be one of
-    ``true/false/1/0/yes/no`` in any case.  ``subset_cap=`` and
-    ``step_cap=`` (both ``>= 1``) are the decoder's caps, passed to
-    :func:`~tgtkit.decode.decode` in every trial.
+    ``true/false/1/0/yes/no`` in any case.
 
     Gap policy and noise (built by :meth:`GapPolicy.from_settings` and
     :meth:`NoiseSpec.from_settings`, the same builders the CLI uses):
@@ -193,8 +191,6 @@ class ExperimentSpec:
     policy: GapPolicy = GapPolicy.always_negative()
     noise: NoiseSpec = NoiseSpec.none()
     verified: bool = False
-    subset_cap: int = FAMILY_SUBSET_CAP
-    step_cap: int = EXTENSION_STEP_CAP
 
     def __post_init__(self) -> None:
         if self.algorithm not in (1, 2, 3):
@@ -216,9 +212,6 @@ class ExperimentSpec:
                 raise ValidationError(f"rows must be >= 1, got {self.rows_override}")
         if self.max_attempts < 1:
             raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        for name in ("subset_cap", "step_cap"):
-            if (cap := getattr(self, name)) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {cap}")
         if (self.defectives is None) == (self.s_size is None):
             raise ValidationError(
                 "exactly one of defectives=<items> or s_size=<int> is required"
@@ -301,8 +294,6 @@ class ExperimentSpec:
                 as_int("noise_count", kv.get("noise_count", "0")), label="noise_rows",
             ),
             verified=verified,
-            subset_cap=as_int("subset_cap", kv.get("subset_cap", str(FAMILY_SUBSET_CAP))),
-            step_cap=as_int("step_cap", kv.get("step_cap", str(EXTENSION_STEP_CAP))),
         )
 
     @classmethod
@@ -439,9 +430,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         policy = replace(spec.policy, seed=policy_seed)
         noise = replace(spec.noise, seed=noise_seed)
         outcome = encode(matrix, defectives, p.ell, p.u, policy, noise)
-        result = decode(
-            outcome, matrix, p, spec.algorithm, spec.subset_cap, spec.step_cap
-        )
+        result = decode(outcome, matrix, p, spec.algorithm)
         report = check_envelope(defectives, result.recovered, spec.algorithm, p)
         # the guarantee only speaks for u <= |S| <= d and at most e errors
         in_model = p.u <= len(defectives) <= p.d and noise.weight() <= p.e

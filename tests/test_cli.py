@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from tgtkit.cli import build_parser, main
-from tgtkit.decode import EXTENSION_STEP_CAP, FAMILY_SUBSET_CAP
 from tgtkit.disjunct import VERIFY_PAIR_CAP
 
 from conftest import GOLDEN_OUTCOME, GOLDEN_TEXT
@@ -61,61 +60,6 @@ class TestDecodeCommand:
         )
         assert code == 1
         assert "error:" in err
-
-
-class TestDecodeCaps:
-    GOLDEN_ALG1 = (
-        "s_prime=1,2,4,5\nmax_false_positives=1\nmax_false_negatives=1\n"
-        "underdetermined=false\n"
-    )
-
-    @staticmethod
-    def decode(capsys, golden_files, *flags):
-        matrix, outcome = golden_files
-        return run(
-            capsys, "decode", "--matrix", matrix, "--outcome", outcome,
-            "--alg", 1, "--d", 4, "--ell", 0, "--u", 2, "--z", 1, *flags,
-        )
-
-    def test_defaults_are_the_library_caps(self):
-        args = build_parser().parse_args(
-            ["decode", "--matrix", "m", "--outcome", "y", "--alg", "1",
-             "--d", "4", "--ell", "0", "--u", "2", "--z", "1"]
-        )
-        assert (args.subset_cap, args.step_cap) == (FAMILY_SUBSET_CAP, EXTENSION_STEP_CAP)
-
-    def test_default_stdout_is_unchanged(self, capsys, golden_files):
-        # the golden instance enumerates C(6, 2) = 15 subsets, and its first
-        # extension step counts C(4, 2) * C(2, 1) = 12 pairs: caps at exactly
-        # those values, or at the defaults, print the same bytes as no flags
-        assert self.decode(capsys, golden_files) == (0, self.GOLDEN_ALG1, "")
-        for flags in (
-            ("--subset-cap", FAMILY_SUBSET_CAP, "--step-cap", EXTENSION_STEP_CAP),
-            ("--subset-cap", 15, "--step-cap", 12),
-        ):
-            assert self.decode(capsys, golden_files, *flags) == (0, self.GOLDEN_ALG1, "")
-
-    @pytest.mark.parametrize("flag", ["--subset-cap", "--step-cap"])
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_cap_below_one_is_exit_1(self, capsys, golden_files, flag, value):
-        code, out, err = self.decode(capsys, golden_files, flag, value)
-        assert (code, out) == (1, "")
-        assert err == f"error: argument {flag}: must be >= 1, got {value}\n"
-
-    def test_cap_that_is_not_an_integer_is_exit_1(self, capsys, golden_files):
-        code, out, err = self.decode(capsys, golden_files, "--step-cap", "lots")
-        assert (code, out) == (1, "")
-        assert err == "error: argument --step-cap: invalid int value: 'lots'\n"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (("--subset-cap", 14), "family construction would enumerate 15 subsets > cap 14"),
-            (("--step-cap", 11), "extension step would check 12 candidate pairs > cap 11"),
-        ],
-    )
-    def test_going_over_a_cap_is_exit_2(self, capsys, golden_files, flags, message):
-        assert self.decode(capsys, golden_files, *flags) == (2, "", f"error: {message}\n")
 
 
 class TestEncodeCommand:

@@ -505,8 +505,8 @@ def test_swap_extension_matches_reference(n, u, g, d_offset, rate, step_cap, see
 
 def test_step_cap_counts_unpruned_pairs():
     # from {1, 2}, eight of the ten pool items have an edge to neither 1
-    # nor 2, so the pool filter drops them and only A = (3, 4) is formed;
-    # the cap still counts all C(10, 2) * C(2, 1) = 90 pairs of the step
+    # nor 2, so the pool filter keeps them out of every A and only A = (3, 4)
+    # passes; the cap still counts all C(10, 2) * C(2, 1) = 90 pairs of the step
     family = Family(2, ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4)))
     params = TGTParams(n=12, d=3, ell=0, u=2)
     found = decode_from_family(family, params, 1, step_cap=90)

@@ -18,7 +18,6 @@ from tgtkit import (
     BinaryMatrix,
     EnvelopeDefectError,
     ExperimentSpec,
-    FeasibilityError,
     GapPolicy,
     ItemSet,
     NoiseSpec,
@@ -35,7 +34,6 @@ from tgtkit import (
     sweep_to_csv,
 )
 from tgtkit.cli import main
-from tgtkit.decode import EXTENSION_STEP_CAP, FAMILY_SUBSET_CAP
 from tgtkit.simulate import ell_rule, u_rule
 
 from conftest import GOLDEN_TEXT
@@ -305,57 +303,6 @@ def test_spec_and_cli_build_the_same_policy_and_noise(golden_path, values):
     else:
         assert code == 0
         assert built == [(spec.policy, spec.noise)]
-
-
-class TestExperimentCaps:
-    """``subset_cap=`` and ``step_cap=`` reach ``decode`` in every trial; the
-    golden instance enumerates C(6, 2) = 15 subsets, and its first extension
-    step counts C(4, 2) * C(2, 1) = 12 pairs."""
-
-    def test_defaults_are_the_library_caps(self, golden_file):
-        spec = ExperimentSpec.parse(GOLDEN_SPEC.format(matrix=golden_file))
-        assert (spec.subset_cap, spec.step_cap) == (FAMILY_SUBSET_CAP, EXTENSION_STEP_CAP)
-
-    @pytest.mark.parametrize(
-        "setting, message",
-        [
-            ("subset_cap=0", "subset_cap must be >= 1, got 0"),
-            ("step_cap=-2", "step_cap must be >= 1, got -2"),
-            ("step_cap=lots", "spec key 'step_cap' must be an integer"),
-        ],
-    )
-    def test_bad_cap_fails_at_parse(self, capsys, golden_file, setting, message):
-        spec_path = golden_file.parent / "spec.txt"
-        spec_path.write_text(GOLDEN_SPEC.format(matrix=golden_file) + setting + "\n")
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            ExperimentSpec.load(spec_path)
-        assert main(["experiment", "--spec", str(spec_path)]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-
-    @pytest.mark.parametrize(
-        "setting, message",
-        [
-            ("subset_cap=14", "family construction would enumerate 15 subsets > cap 14"),
-            ("step_cap=11", "extension step would check 12 candidate pairs > cap 11"),
-        ],
-    )
-    def test_going_over_a_cap_is_exit_2(self, capsys, golden_file, setting, message):
-        spec_path = golden_file.parent / "spec.txt"
-        spec_path.write_text(GOLDEN_SPEC.format(matrix=golden_file) + setting + "\n")
-        with pytest.raises(FeasibilityError, match=f"^{message}$"):
-            run_experiment(ExperimentSpec.load(spec_path))
-        assert main(["experiment", "--spec", str(spec_path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-
-    def test_caps_at_the_work_leave_stdout_unchanged(self, capsys, golden_file):
-        spec_path = golden_file.parent / "spec.txt"
-        outputs = []
-        for extra in ("", "subset_cap=15\nstep_cap=12\n"):
-            spec_path.write_text(GOLDEN_SPEC.format(matrix=golden_file) + extra)
-            assert main(["experiment", "--spec", str(spec_path)]) == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert "recovered=1,2,4,5" in outputs[0].out
 
 
 class TestRunExperiment:
