@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="matrix file (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="exhaustively verify disjunctness")
+    p = sub.add_parser("verify", help="decide disjunctness exactly; on failure print "
+                       "the lexicographically first failing pair")
     p.add_argument("--matrix", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)

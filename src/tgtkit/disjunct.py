@@ -25,6 +25,13 @@ used throughout the CLI:
 All calculators evaluate in binary floating point (>= 15 significant
 digits), switching to a log-domain mantissa/exponent path once the value
 leaves the double range, and return integer row counts.
+
+``verify_disjunct`` decides the property one ones-set at a time.  For a
+fixed ``S2`` with all-ones rows ``R``, a zeros-set ``S1`` fails exactly when
+its ``d`` columns hit all but at most ``z - 1`` rows of ``R``: a partial
+set-cover question, answered by an exact branch-and-bound search
+(``_can_cover``).  Only the first ones-set for which it answers yes is
+walked pair by pair, to report the lexicographically first failing pair.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ GENERATION_ENTRY_BUDGET = 200_000_000
 VERIFY_PAIR_CAP = 100_000_000
 
 _LN10 = math.log(10.0)
+
+#: a cover-search node with at most this many completions enumerates them
+_DIRECT_COMPLETIONS = 64
 
 
 def _require_int(name: str, value: int, minimum: int = 1) -> None:
@@ -289,6 +299,7 @@ def _check_entry_budget(rows: int, n: int) -> None:
 
 
 def _check_pair_cap(n: int, d: int, r: int, pair_cap: int) -> None:
+    _require_int("pair_cap", pair_cap)
     pairs = math.comb(n, r) * math.comb(n - r, d)
     if pairs > pair_cap:
         raise FeasibilityError(
@@ -345,6 +356,103 @@ class VerifyResult:
     witness: Optional[DisjunctWitness] = None
 
 
+def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
+    """Whether at most ``k >= 1`` of the masks ``hits`` leave at most
+    ``spare`` bits of ``uncovered`` unset by their union.
+
+    Exact branch and bound, depth first on an explicit stack.  A node with
+    ``k >= 3`` counts the holders of every uncovered bit (a binary counter
+    kept in bit planes), spends the bits nobody holds from ``spare``, and
+    fails when the ``k`` largest gains cannot close the rest.  Otherwise it
+    enumerates its completions when there are few, or branches on the
+    lowest of the bits with fewest holders: each holder in turn, earlier
+    holders excluded, and then, while ``spare`` lasts, that bit left unset
+    with all its holders dropped.  Nodes with ``k <= 2`` are decided
+    directly.
+    """
+    stack = [(hits, uncovered, k, spare)]
+    while stack:
+        hits, uncovered, k, spare = stack.pop()
+        if k == 1:
+            need = uncovered.bit_count() - spare
+            if need <= 0 or any((m & uncovered).bit_count() >= need for m in hits):
+                return True
+            continue
+        hits = [h for m in hits if (h := m & uncovered)]
+        if k == 2:
+            if _can_cover_pair(hits, uncovered.bit_count() - spare):
+                return True
+            continue
+        planes: list[int] = []  # planes[i]: bit i of each row's holder count
+        for h in hits:
+            i = 0
+            while h:
+                if i == len(planes):
+                    planes.append(h)
+                    break
+                plane = planes[i]
+                planes[i] = plane ^ h
+                h &= plane
+                i += 1
+        held = 0
+        for plane in planes:
+            held |= plane
+        spare -= (uncovered & ~held).bit_count()
+        if spare < 0:
+            continue
+        uncovered = held
+        size = uncovered.bit_count()
+        if size <= spare or len(hits) <= k:
+            return True
+        gains = sorted(map(int.bit_count, hits))
+        if size - sum(gains[-k:]) > spare:
+            continue
+        if math.comb(len(hits), k) <= _DIRECT_COMPLETIONS:
+            need = size - spare
+            for combo in combinations(hits, k):
+                union = 0
+                for h in combo:
+                    union |= h
+                if union.bit_count() >= need:
+                    return True
+            continue
+        rarest = held
+        for plane in reversed(planes):
+            if rarest & ~plane:
+                rarest &= ~plane
+        bit = rarest & -rarest
+        holders = [h for h in hits if h & bit]
+        others = [h for h in hits if not h & bit]
+        # popped in reverse: each holder in order, then the bit left unset
+        if spare:
+            stack.append((others, uncovered & ~bit, k, spare - 1))
+        for i in range(len(holders) - 1, -1, -1):
+            stack.append((others + holders[i + 1 :], uncovered & ~holders[i], k - 1, spare))
+    return False
+
+
+def _can_cover_pair(hits: list[int], need: int) -> bool:
+    """Whether the union of at most two of ``hits`` has ``need`` bits: pairs
+    in decreasing gain order, cut off once two gains cannot reach ``need``."""
+    if need <= 0:
+        return True
+    hits = sorted(hits, key=int.bit_count, reverse=True)
+    gains = [h.bit_count() for h in hits]
+    if gains and gains[0] >= need:
+        return True
+    for i in range(len(hits) - 1):
+        rest_need = need - gains[i]
+        if gains[i + 1] < rest_need:
+            return False
+        outside = ~hits[i]
+        for j in range(i + 1, len(hits)):
+            if gains[j] < rest_need:
+                break
+            if (hits[j] & outside).bit_count() >= rest_need:
+                return True
+    return False
+
+
 def verify_disjunct(
     matrix: BinaryMatrix,
     d: int,
@@ -352,11 +460,16 @@ def verify_disjunct(
     z: int,
     pair_cap: int = VERIFY_PAIR_CAP,
 ) -> VerifyResult:
-    """Exhaustively check the ``(n, d, r; z]``-disjunct property.
+    """Exactly decide the ``(n, d, r; z]``-disjunct property.
 
-    Enumerates the size-``r`` ones-set in the outer loop and the size-``d``
-    zeros-set in the inner loop, both in lexicographic order, so a failure
-    witness is always the lexicographically first failing pair.
+    Walks the size-``r`` ones-sets in lexicographic order.  For each, an
+    exact cover search decides whether any size-``d`` zeros-set fails, so
+    most ones-sets cost a few search nodes instead of ``C(n - r, d)`` pairs;
+    when that inner space has at most 64 pairs they are checked directly.
+    The zeros-sets of the first ones-set that fails are walked in
+    lexicographic order, so a failure witness is always the
+    lexicographically first failing pair (ones-set first).  ``pair_cap``
+    bounds the whole pair space ``C(n, r) * C(n - r, d)`` before any work.
     """
     _require_int("d", d)
     _require_int("r", r)
@@ -367,11 +480,14 @@ def verify_disjunct(
     _check_pair_cap(n, d, r, pair_cap)
     cols = matrix.col_masks
     full = (1 << matrix.rows) - 1
+    search = math.comb(n - r, d) > _DIRECT_COMPLETIONS
     for s2 in combinations(range(n), r):
         ones = full
         for j in s2:
             ones &= cols[j]
         rest = [j for j in range(n) if j not in s2]
+        if search and not _can_cover([cols[j] for j in rest], ones, d, z - 1):
+            continue
         for s1 in combinations(rest, d):
             covered = ones
             for j in s1:
@@ -380,8 +496,8 @@ def verify_disjunct(
                 return VerifyResult(
                     False,
                     DisjunctWitness(
-                        ones_set=ItemSet.of(j + 1 for j in s2),
-                        zeros_set=ItemSet.of(j + 1 for j in s1),
+                        ones_set=ItemSet._of_sorted(tuple([j + 1 for j in s2])),
+                        zeros_set=ItemSet._of_sorted(tuple([j + 1 for j in s1])),
                         covered_rows=covered.bit_count(),
                     ),
                 )

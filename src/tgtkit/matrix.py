@@ -77,6 +77,14 @@ class ItemSet:
         return cls(tuple(sorted(set(items))))
 
     @classmethod
+    def _of_sorted(cls, members: tuple[int, ...]) -> "ItemSet":
+        """The set of members known to be positive, sorted and distinct,
+        left unchecked."""
+        item_set = object.__new__(cls)
+        item_set.__dict__["members"] = members
+        return item_set
+
+    @classmethod
     def parse(cls, text: str) -> "ItemSet":
         text = text.strip()
         if not text:

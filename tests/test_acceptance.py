@@ -7,11 +7,13 @@ lines as they complete.
 from __future__ import annotations
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -58,9 +60,16 @@ def _report(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")
 
 
+# the checkout's src/, which pytest puts on its own path but a child
+# process does not inherit
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _cli(*argv: object, cwd=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "tgtkit.cli"] + [str(a) for a in argv]
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
 
 
 @pytest.fixture(scope="module")

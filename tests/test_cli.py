@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tgtkit.cli import build_parser, main
-from tgtkit.disjunct import VERIFY_PAIR_CAP
+from tgtkit.disjunct import VERIFY_PAIR_CAP, generate
 
 from conftest import GOLDEN_OUTCOME, GOLDEN_TEXT
 
@@ -161,6 +161,25 @@ class TestGenVerifyBounds:
         assert out.splitlines() == [
             "FAIL", "ones_set=1", "zeros_set=2", "covered_rows=0",
         ]
+
+    def test_verify_cap_below_one_is_exit_1(self, capsys, golden_files):
+        matrix, _ = golden_files
+        code, out, err = run(
+            capsys, "verify", "--matrix", matrix, "--d", 1, "--r", 1, "--z", 1,
+            "--cap", 0,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: pair_cap must be >= 1, got 0\n"
+
+    def test_verify_n40_design_passes(self, capsys, tmp_path):
+        # 57,575,700 (ones-set, zeros-set) pairs, about 110 s pair by pair
+        matrix = tmp_path / "n40.txt"
+        generate(40, 4, 2, 1, seed=0).save(matrix)
+        code, out, _ = run(
+            capsys, "verify", "--matrix", matrix, "--d", 4, "--r", 2, "--z", 1
+        )
+        assert code == 0 and out == "PASS\n"
 
     def test_bounds_output_with_na(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", 10**6, "--d", 18, "--u", 4,

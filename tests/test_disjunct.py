@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgtkit import (
@@ -28,6 +29,8 @@ from tgtkit import (
     thm5_min_z,
     verify_disjunct,
 )
+
+from tgtkit.disjunct import _can_cover
 
 from conftest import GOLDEN_TEXT, naive_verify_disjunct
 
@@ -243,6 +246,12 @@ class TestVerifyDisjunct:
         with pytest.raises(FeasibilityError):
             verify_disjunct(m, 4, 2, 1, pair_cap=10)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_pair_cap_below_one_is_a_validation_error(self, cap):
+        m = BinaryMatrix(2, 10, (0b11, 0b1100))
+        with pytest.raises(ValidationError, match=rf"^pair_cap must be >= 1, got {cap}$"):
+            verify_disjunct(m, 1, 1, 1, pair_cap=cap)
+
     def test_matches_naive_oracle_on_random_matrices(self):
         rng = random.Random(99)
         for _ in range(120):
@@ -260,6 +269,163 @@ class TestVerifyDisjunct:
                 assert fast.witness.ones_set.members == ones
                 assert fast.witness.zeros_set.members == zeros
                 assert fast.witness.covered_rows == covered
+
+
+def _per_pair_verify(matrix: BinaryMatrix, d: int, r: int, z: int):
+    """Every (ones-set, zeros-set) pair in lexicographic order, on column
+    masks: the verifier before the cover search, as an oracle fast enough
+    for n = 40.  Returns (ok, ones_set, zeros_set, covered) like the naive
+    oracle."""
+    n = matrix.cols
+    cols = matrix.col_masks
+    full = (1 << matrix.rows) - 1
+    for s2 in combinations(range(n), r):
+        ones = full
+        for j in s2:
+            ones &= cols[j]
+        rest = [j for j in range(n) if j not in s2]
+        for s1 in combinations(rest, d):
+            covered = ones
+            for j in s1:
+                covered &= ~cols[j]
+            if covered.bit_count() < z:
+                return (
+                    False,
+                    tuple(j + 1 for j in s2),
+                    tuple(j + 1 for j in s1),
+                    covered.bit_count(),
+                )
+    return (True, None, None, None)
+
+
+def _verdict(result):
+    if result.ok:
+        return (True, None, None, None)
+    w = result.witness
+    return (False, w.ones_set.members, w.zeros_set.members, w.covered_rows)
+
+
+# (n, r, d) with n <= 12, split by whether a ones-set has more than 64
+# zeros-sets, i.e. whether verify_disjunct runs the cover search on it
+_SHAPES = [
+    (n, r, d)
+    for n in range(2, 13)
+    for r in range(1, min(3, n - 1) + 1)
+    for d in range(1, n - r + 1)
+]
+_SEARCHED_SHAPES = [s for s in _SHAPES if math.comb(s[0] - s[1], s[2]) > 64]
+_DIRECT_SHAPES = [s for s in _SHAPES if math.comb(s[0] - s[1], s[2]) <= 64]
+
+
+@st.composite
+def _verify_cases(draw):
+    """A random design at the construction's density r/(d+r), as many rows
+    as the naive oracle affords (up to 300), half of them on searched
+    shapes."""
+    n, r, d = draw(st.sampled_from(_SEARCHED_SHAPES) | st.sampled_from(_DIRECT_SHAPES))
+    z = draw(st.integers(1, 6))
+    pairs = math.comb(n, r) * math.comb(n - r, d)
+    most = max(1, min(300, 60_000 // pairs))
+    t = most - draw(st.integers(0, most - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = r / (d + r)
+    masks = tuple(
+        sum(1 << j for j in range(n) if rng.random() < p) for _ in range(t)
+    )
+    return BinaryMatrix(t, n, masks), d, r, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(_verify_cases())
+def test_verify_matches_naive_oracle(case):
+    matrix, d, r, z = case
+    assert _verdict(verify_disjunct(matrix, d, r, z)) == naive_verify_disjunct(
+        matrix, d, r, z
+    )
+
+
+def _brute_can_cover(hits, uncovered, k, spare):
+    for size in range(min(k, len(hits)) + 1):
+        for combo in combinations(hits, size):
+            union = 0
+            for h in combo:
+                union |= h
+            if (uncovered & ~union).bit_count() <= spare:
+                return True
+    return False
+
+
+@st.composite
+def _cover_cases(draw):
+    """Random masks at densities from 1/2 down to 1/8, half the time with a
+    planted cover: ``k`` masks, some bits held twice, that leave ``spare``
+    bits unset or one more.  Duplicates and empty masks are mixed in."""
+    width = draw(st.integers(1, 40))
+    full = (1 << width) - 1
+    k = draw(st.integers(1, 5) | st.integers(3, 5))
+    spare = draw(st.integers(0, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.integers(1, 3))
+    masks = []
+    for _ in range(draw(st.integers(0, 10))):
+        mask = full
+        for _ in range(density):
+            mask &= rng.getrandbits(width)
+        masks.append(mask)
+    if draw(st.booleans()):
+        unset = set(rng.sample(range(width), min(width, spare + draw(st.integers(0, 1)))))
+        planted = [0] * k
+        for bit in range(width):
+            if bit not in unset:
+                for owner in {rng.randrange(k), rng.randrange(k)}:
+                    planted[owner] |= 1 << bit
+        masks += planted
+    masks += draw(st.lists(st.sampled_from(masks + [0]), max_size=3))
+    hits = draw(st.permutations(masks))
+    uncovered = draw(st.just(full) | st.integers(0, full))
+    return hits, uncovered, k, spare
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cover_cases())
+# the answer turns on: two holders of the branching bit together; a bit
+# left unset with spare 1; two gains that just reach the need; the spare a
+# bit left unset costs
+@example(([176, 132, 280, 30, 32, 256, 64, 272, 466, 1], 511, 4, 0))
+@example(([1793, 3460, 1666, 548, 720, 258, 1866, 1040, 176], 4095, 3, 1))
+@example(([2, 4, 3], 15, 2, 1))
+@example(([1040, 640, 2306, 5120, 4131, 64, 2595, 36], 8191, 4, 2))
+def test_can_cover_matches_brute_force(case):
+    hits, uncovered, k, spare = case
+    assert _can_cover(list(hits), uncovered, k, spare) == _brute_can_cover(
+        hits, uncovered, k, spare
+    )
+
+
+class TestVerifyAtScale:
+    def test_n40_failing_witness_matches_per_pair_loop(self):
+        # plant a failure at ones-set {1, 3}: every row covering it with
+        # zeros-set {4, 5, 6, 7} gets a one in column 4; ones-set {1, 2},
+        # which passes, is decided first
+        m = generate(40, 4, 2, 1, seed=0)
+        ones, zeros = 0b101, 0b1111000
+        rows = tuple(
+            mask | 0b1000 if mask & ones == ones and not mask & zeros else mask
+            for mask in m.row_masks
+        )
+        planted = BinaryMatrix(m.rows, m.cols, rows)
+        expected = _per_pair_verify(planted, 4, 2, 1)
+        assert expected[:2] == (False, (1, 3))
+        assert _verdict(verify_disjunct(planted, 4, 2, 1)) == expected
+
+    def test_zeros_set_close_to_n_needs_no_deep_recursion(self):
+        # column 1 and one other column in each row: for ones-set {1} every
+        # other column covers a single row, so deciding d = 1098 branches
+        # about 1,000 levels deep, past Python's recursion limit
+        n = 1100
+        m = BinaryMatrix(n - 1, n, tuple(1 | (1 << i) for i in range(1, n)))
+        result = verify_disjunct(m, n - 2, 1, 2)
+        assert _verdict(result) == (False, (1,), tuple(range(2, n)), 1)
 
 
 class TestGenerateVerified:
@@ -294,6 +460,10 @@ class TestGenerateVerified:
             r"\(240000000 entries > budget 200000000\)$",
         ):
             generate_verified(6, 4, 2, 1, seed=0, rows=40_000_000)
+
+    def test_pair_cap_below_one_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"^pair_cap must be >= 1, got 0$"):
+            generate_verified(6, 4, 2, 1, seed=0, pair_cap=0)
 
     def test_attempt_budget_exhausted(self):
         # 4 rows can never hold all 15 pair pools of a (6,4,2;1] design
