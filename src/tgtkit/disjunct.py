@@ -54,7 +54,9 @@ VERIFY_PAIR_CAP = 100_000_000
 
 _LN10 = math.log(10.0)
 
-#: a cover-search node with at most this many completions enumerates them
+#: at most this many completions are enumerated instead of searched: the
+#: zeros-sets of a ones-set in verify_disjunct, the k-subsets of a node in
+#: _can_cover
 _DIRECT_COMPLETIONS = 64
 
 
