@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
+from .disjunct import _require_int
 from .errors import FeasibilityError, ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
 from .model import TGTParams, _check_outcome_length
@@ -124,6 +125,7 @@ def build_family(
     subset_cap: int = FAMILY_SUBSET_CAP,
 ) -> Family:
     """All ``u``-subsets with ``t0 <= e``, enumerated lexicographically."""
+    _require_int("subset_cap", subset_cap)
     if u < 1:
         raise ValidationError(f"u must be >= 1, got {u}")
     if e < 0:
@@ -422,6 +424,7 @@ def decode_from_family(
     Each decoder is a function of the edge family alone, so one family
     serves all three, and outcomes with equal families decode identically.
     """
+    _require_int("step_cap", step_cap)
     if family.u != params.u:
         raise ValidationError(f"family has u={family.u}, params have u={params.u}")
     if (top := max((edge[-1] for edge in family.edges), default=0)) > params.n:
@@ -439,6 +442,8 @@ def decode(
     step_cap: int = EXTENSION_STEP_CAP,
 ) -> DecodeResult:
     """:func:`build_family`, then :func:`decode_from_family`."""
+    _require_int("subset_cap", subset_cap)
+    _require_int("step_cap", step_cap)
     _announce(params, algorithm)
     family = build_family(matrix, outcome, params.u, params.e, subset_cap)
     return _decode_family(family, params, algorithm, step_cap)

@@ -280,16 +280,40 @@ def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
     return _round_rows(*_randomized(params, 2.0 * a, delta), "floor") + 1
 
 
-def _sample_row_masks(rng: random.Random, rows: int, n: int, p: float) -> tuple[int, ...]:
-    masks = []
-    rnd = rng.random
-    for _ in range(rows):
-        mask = 0
-        for j in range(n):
-            if rnd() < p:
-                mask |= 1 << j
-        masks.append(mask)
-    return tuple(masks)
+#: bytes of random words drawn per ``getrandbits`` call in _sample_digits
+_SAMPLE_BLOCK_BYTES = 1 << 16
+
+
+def _sample_digits(rng: random.Random, rows: int, n: int, p: float) -> str:
+    """The ``rows * n`` digits, row by row, of entries that are 1 exactly when
+    ``rng.random() < p``, drawing the same words as that many ``random()`` calls.
+
+    ``random()`` is ``X / 2**53`` with ``X = (a >> 5) << 26 | (b >> 6)`` for two
+    consecutive 32-bit words ``a`` and ``b``, and ``getrandbits(64 * m)`` holds
+    the same words in the same order, low word first.  So an entry is 1
+    exactly when ``X < T = ceil(p * 2**53)``.  The top byte of ``a`` is the top
+    byte of ``X``; only an entry whose top byte equals that of ``T`` (about
+    one in 256) needs its full ``X``.
+    """
+    threshold = math.ceil(p * (1 << 53))
+    top = threshold >> 45
+    table = bytes(
+        ord("1") if b < top else ord("?") if b == top else ord("0") for b in range(256)
+    )
+    block_rows = max(1, _SAMPLE_BLOCK_BYTES // (8 * n))
+    out = []
+    for start in range(0, rows, block_rows):
+        entries = min(block_rows, rows - start) * n
+        words = rng.getrandbits(64 * entries).to_bytes(8 * entries, "little")
+        digits = bytearray(words[3::8].translate(table))
+        i = digits.find(b"?")
+        while i >= 0:
+            a = int.from_bytes(words[8 * i : 8 * i + 4], "little")
+            b = int.from_bytes(words[8 * i + 4 : 8 * i + 8], "little")
+            digits[i] = ord("1") if ((a >> 5) << 26 | b >> 6) < threshold else ord("0")
+            i = digits.find(b"?", i + 1)
+        out.append(digits.decode())
+    return "".join(out)
 
 
 def _check_entry_budget(rows: int, n: int) -> None:
@@ -323,7 +347,9 @@ def generate(
     The row count comes from the chosen variant's calculator (or an
     explicit ``rows`` override).  The disjunct property holds with positive
     probability but is *not* verified here; see :func:`generate_verified`.
-    Deterministic given ``seed``.
+    Deterministic given ``seed``: the sampler is stream-identical to
+    drawing ``random() < p`` per entry, row by row, from
+    ``random.Random(seed)``.
     """
     if variant not in ("thm4", "thm5"):
         raise ValidationError(f"unknown generation variant {variant!r}")
@@ -336,7 +362,7 @@ def generate(
     _require_int("rows", rows)
     _check_entry_budget(rows, n)
     rng = random.Random(seed)
-    return BinaryMatrix(rows, n, _sample_row_masks(rng, rows, n, params.p))
+    return BinaryMatrix._from_digits(rows, n, _sample_digits(rng, rows, n, params.p))
 
 
 @dataclass(frozen=True)
@@ -538,7 +564,9 @@ def generate_verified(
     _check_entry_budget(rows, n)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
-        matrix = BinaryMatrix(rows, n, _sample_row_masks(rng, rows, n, params.p))
+        matrix = BinaryMatrix._from_digits(
+            rows, n, _sample_digits(rng, rows, n, params.p)
+        )
         if verify_disjunct(matrix, d, u, z, pair_cap=pair_cap).ok:
             return GenerationResult(matrix, attempt)
     raise FeasibilityError(

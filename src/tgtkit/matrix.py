@@ -120,6 +120,12 @@ class ItemSet:
         return item in self.members
 
 
+def _column_masks(digits: str, cols: int) -> tuple[int, ...]:
+    """Column masks of the 0/1 rows laid end to end in ``digits``: column
+    ``j`` is every ``cols``-th digit from digit ``j``."""
+    return tuple(_digits_to_mask(digits[j::cols]) for j in range(cols))
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     """A ``t x n`` 0/1 measurement matrix (rows are tests, columns items)."""
@@ -139,10 +145,24 @@ class BinaryMatrix:
         for i, mask in enumerate(self.row_masks):
             if mask < 0 or mask >> self.cols:
                 raise ValidationError(f"row {i + 1} has bits outside 1..{self.cols}")
-        # rows laid end to end: column j is every cols-th digit from digit j
         digits = "".join([_mask_to_digits(mask, self.cols) for mask in self.row_masks])
-        cols = tuple(_digits_to_mask(digits[j::self.cols]) for j in range(self.cols))
-        object.__setattr__(self, "col_masks", cols)
+        object.__setattr__(self, "col_masks", _column_masks(digits, self.cols))
+
+    @classmethod
+    def _from_digits(cls, rows: int, cols: int, digits: str) -> "BinaryMatrix":
+        """The matrix whose rows, laid end to end, are ``digits``: positive
+        dimensions and ``rows * cols`` digits known to be 0/1, left unchecked."""
+        backwards = digits[::-1]  # each row, reversed, is one slice of it
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(
+            rows=rows,
+            cols=cols,
+            row_masks=tuple(
+                int(backwards[s : s + cols], 2) for s in range((rows - 1) * cols, -1, -cols)
+            ),
+            col_masks=_column_masks(digits, cols),
+        )
+        return matrix
 
     @classmethod
     def from_bits(cls, bit_rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
@@ -157,7 +177,7 @@ class BinaryMatrix:
             lines.append("".join("1" if bit else "0" for bit in row))
         if not lines or not lines[0]:
             raise ValidationError("matrix must have at least one row and column")
-        return cls(len(lines), len(lines[0]), tuple(map(_digits_to_mask, lines)))
+        return cls._from_digits(len(lines), len(lines[0]), "".join(lines))
 
     @classmethod
     def parse(cls, text: str) -> "BinaryMatrix":
@@ -170,12 +190,21 @@ class BinaryMatrix:
         if not all(h.isascii() and h.isdigit() for h in head):
             raise ValidationError('matrix header must be "t n" with integers')
         t, n = int(head[0]), int(head[1])
-        if len(lines) - 1 != t:
-            raise ValidationError(f"expected {t} matrix rows, found {len(lines) - 1}")
-        for i, line in enumerate(lines[1:], start=1):
-            if len(line) != n or set(line) - {"0", "1"}:
-                raise ValidationError(f"matrix row {i} is not {n} characters of 0/1")
-        return cls(t, n, tuple(map(_digits_to_mask, lines[1:])))
+        body = lines[1:]
+        if len(body) != t:
+            raise ValidationError(f"expected {t} matrix rows, found {len(body)}")
+        digits = "".join(body)
+        if (
+            not digits.isascii()
+            or digits.encode().translate(None, b"01")
+            or any(len(line) != n for line in body)
+        ):
+            for i, line in enumerate(body, start=1):
+                if len(line) != n or set(line) - {"0", "1"}:
+                    raise ValidationError(f"matrix row {i} is not {n} characters of 0/1")
+        if t < 1 or n < 1:
+            raise ValidationError("matrix dimensions must be positive")
+        return cls._from_digits(t, n, digits)
 
     @classmethod
     def load(cls, path: str | Path) -> "BinaryMatrix":

@@ -345,6 +345,34 @@ class TestGoldenDecodes:
         with pytest.raises(FeasibilityError):
             decode_alg1(golden_outcome, golden_matrix, golden_params, step_cap=1)
 
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (0, "must be >= 1, got 0"),
+            (2.5, "must be an integer, got 2.5"),
+            ("9", "must be an integer, got '9'"),
+            (True, "must be an integer, got True"),
+        ],
+    )
+    def test_caps_are_validated_at_entry(
+        self, golden_matrix, golden_outcome, golden_params, cap, message
+    ):
+        fam = build_family(golden_matrix, golden_outcome, 2, 0)
+        calls = {
+            "subset_cap": [
+                lambda: build_family(golden_matrix, golden_outcome, 2, 0, subset_cap=cap),
+                lambda: decode(golden_outcome, golden_matrix, golden_params, 2, subset_cap=cap),
+            ],
+            "step_cap": [
+                lambda: decode(golden_outcome, golden_matrix, golden_params, 2, step_cap=cap),
+                lambda: decode_from_family(fam, golden_params, 2, step_cap=cap),
+            ],
+        }
+        for name, runs in calls.items():
+            for run in runs:
+                with pytest.raises(ValidationError, match=rf"^{name} {re.escape(message)}$"):
+                    run()
+
 
 class TestTinySweep:
     """Exhaustive check of every defective set and every gap assignment on a
@@ -427,11 +455,11 @@ def test_greedy_union_matches_rescan(n, u, g, rate, seed):
 
 
 def _outcome_or_error(run):
-    """What ``run()`` returns, or the message of the FeasibilityError it raises."""
+    """What ``run()`` returns, or the type and message of the cap error it raises."""
     try:
         return run()
-    except FeasibilityError as exc:
-        return ("FeasibilityError", str(exc))
+    except (FeasibilityError, ValidationError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 @settings(max_examples=400, deadline=None)

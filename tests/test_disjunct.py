@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,8 @@ from tgtkit import (
     verify_disjunct,
 )
 
-from tgtkit.disjunct import _can_cover
+from tgtkit import disjunct
+from tgtkit.disjunct import _can_cover, _sample_digits
 
 from conftest import GOLDEN_TEXT, naive_verify_disjunct
 
@@ -207,6 +210,102 @@ class TestGenerate:
             if verify_disjunct(m, 3, 2, 1).ok:
                 hits += 1
         assert hits > 0
+
+
+def _sample_row_masks_reference(rng, rows, n, p):
+    """The row masks of ``rows * n`` entries drawn one ``rng.random() < p`` each."""
+    masks = []
+    rnd = rng.random
+    for _ in range(rows):
+        mask = 0
+        for j in range(n):
+            if rnd() < p:
+                mask |= 1 << j
+        masks.append(mask)
+    return tuple(masks)
+
+
+#: one-probabilities that reach every branch of the sampler: k/256 puts
+#: T's top byte on a byte value, so about one entry in 256 needs its full
+#: 53 bits; the others sit at the ends of [0, 1] or are arbitrary
+_PROBABILITIES = st.one_of(
+    st.integers(0, 256).map(lambda k: k / 256),
+    st.sampled_from([2.0**-53, 1e-9, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1e-12),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)).map(lambda du: du[1] / sum(du)),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 80),
+    n=st.integers(1, 24),
+    p=_PROBABILITIES,
+    block=st.sampled_from([8, 40, 256, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=80, n=24, p=3 / 256, block=256, seed=1)
+@example(rows=3, n=5, p=1.0 - 2.0**-53, block=8, seed=2)
+def test_sample_digits_matches_per_entry_draws(rows, n, p, block, seed):
+    # the digits are the per-entry random() < p draws, and the generator
+    # ends in the same state, however the rows fall into blocks
+    fast, slow = random.Random(seed), random.Random(seed)
+    with mock.patch.object(disjunct, "_SAMPLE_BLOCK_BYTES", block):
+        digits = _sample_digits(fast, rows, n, p)
+    expected = _sample_row_masks_reference(slow, rows, n, p)
+    assert len(digits) == rows * n
+    assert BinaryMatrix._from_digits(rows, n, digits).row_masks == expected
+    assert fast.getstate() == slow.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 30),
+    n=st.integers(1, 12),
+    pick=st.integers(0, 359),
+    nudge=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_digits_at_a_drawn_value(rows, n, pick, nudge, seed):
+    # p equal to one of the stream's own draws, or one ulp off it, ties
+    # that entry on all 53 bits: the low word decides it
+    rng = random.Random(seed)
+    draws = [rng.random() for _ in range(rows * n)]
+    p = draws[pick % len(draws)]
+    p = math.nextafter(p, nudge * math.inf) if nudge else p
+    digits = _sample_digits(random.Random(seed), rows, n, p)
+    assert digits == "".join("1" if x < p else "0" for x in draws)
+
+
+def _digest(matrix):
+    return hashlib.sha256(matrix.to_text().encode()).hexdigest()[:16]
+
+
+#: generate's seeded stream, recorded with the per-entry sampler: a change
+#: to the stream fails here and not only in a benchmark's golden outputs
+@pytest.mark.parametrize(
+    "args, kwargs, rows, digest",
+    [
+        ((12, 2, 1, 1, 0), {}, 201, "a47672fb766bd87f"),
+        ((12, 2, 1, 9, 7), {"variant": "thm5"}, 231, "8104b8384295626b"),
+        ((20, 3, 2, 2, 1), {}, 1482, "a387100c497a432f"),
+        ((20, 3, 2, 9, 1), {"variant": "thm5"}, 1385, "4529960a06bc25ba"),
+        ((20, 3, 2, 2, 1), {"rows": rows_thm1(20, 3, 2, 2)}, 813, "56146ca4051d0120"),
+        ((48, 4, 2, 3, 5), {}, 3368, "0aa517e11608e631"),
+        ((9, 1, 8, 1, 3), {"rows": 17}, 17, "852452cdcb7d9054"),
+        ((70, 5, 2, 1, 11), {"rows": 3}, 3, "1c13dc965e01c72d"),
+    ],
+)
+def test_generate_stream_is_pinned(args, kwargs, rows, digest):
+    m = generate(*args, **kwargs)
+    assert m.rows == rows and _digest(m) == digest
+
+
+def test_generate_verified_stream_is_pinned():
+    # eight attempts draw from one stream; the last one verifies
+    result = generate_verified(8, 3, 1, 1, seed=0, rows=30)
+    assert result.attempts == 8 and _digest(result.matrix) == "ea68f9ceafbad410"
 
 
 class TestVerifyDisjunct:

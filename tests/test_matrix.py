@@ -329,6 +329,99 @@ def test_malformed_matrix_row_fails_the_row_check(rows, pick, k, mutation):
         BinaryMatrix.parse(text)
 
 
+def _parse_reference(text):
+    """``BinaryMatrix.parse`` checking and converting one line at a time."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValidationError("empty matrix file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValidationError('matrix header must be "t n"')
+    if not all(h.isascii() and h.isdigit() for h in head):
+        raise ValidationError('matrix header must be "t n" with integers')
+    t, n = int(head[0]), int(head[1])
+    if len(lines) - 1 != t:
+        raise ValidationError(f"expected {t} matrix rows, found {len(lines) - 1}")
+    for i, line in enumerate(lines[1:], start=1):
+        if len(line) != n or set(line) - {"0", "1"}:
+            raise ValidationError(f"matrix row {i} is not {n} characters of 0/1")
+    return BinaryMatrix(t, n, tuple(int(line[::-1], 2) for line in lines[1:]))
+
+
+def _parsed_or_error(text):
+    """The parsed matrix with its column masks, or the error's type and message."""
+    try:
+        m = BinaryMatrix.parse(text)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return m, m.col_masks
+
+
+def _reference_parsed_or_error(text):
+    try:
+        m = _parse_reference(text)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return m, _per_bit_columns(m.row_masks, m.cols)
+
+
+#: ways to break a valid matrix text; "١" is a digit that int(..., 2) takes,
+#: and a lone surrogate cannot be encoded
+_TEXT_MUTATIONS = st.sampled_from(
+    [
+        "none",
+        "ragged",
+        "underscore",
+        "space",
+        "arabic_one",
+        "surrogate",
+        "missing_row",
+        "zero_rows",
+    ]
+)
+
+
+def _mutate_text(rows, n, mutation, i, k):
+    rows = list(rows)
+    t = len(rows)
+    k %= n
+    if mutation == "ragged":
+        rows[i] = rows[i] + "1" if k % 2 else rows[i][:-1]
+    elif mutation == "underscore":
+        rows[i] = rows[i][:k] + "_" + rows[i][k + 1:]
+    elif mutation == "space":
+        rows[i] = rows[i][:k] + " " + rows[i][k:]
+    elif mutation == "arabic_one":
+        rows[i] = rows[i][:k] + "\u0661" + rows[i][k + 1:]
+    elif mutation == "surrogate":
+        rows[i] = rows[i][:k] + "\ud800" + rows[i][k + 1:]
+    elif mutation == "missing_row":
+        del rows[i]
+    elif mutation == "zero_rows":  # a "0 n" header, above no rows or the old ones
+        t, rows = 0, rows if k % 2 else []
+    return f"{t} {n}\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.lists(st.text("01", min_size=1, max_size=70), min_size=1, max_size=12),
+    mutation=_TEXT_MUTATIONS,
+    pick=st.integers(0, 11),
+    k=st.integers(0, 69),
+)
+@example(rows=["01", "10"], mutation="arabic_one", pick=1, k=0)
+@example(rows=["1"], mutation="ragged", pick=0, k=0)  # an empty row is skipped
+@example(rows=["011"], mutation="zero_rows", pick=0, k=0)
+@example(rows=["011"], mutation="zero_rows", pick=0, k=1)
+def test_parse_matches_per_line_reference(rows, mutation, pick, k):
+    # one-pass validation gives the same matrix, or the same first error,
+    # as checking and converting each line on its own
+    n = len(rows[0])
+    rows = [(row * n)[:n] for row in rows]
+    text = _mutate_text(rows, n, mutation, pick % len(rows), k)
+    assert _parsed_or_error(text) == _reference_parsed_or_error(text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     line=st.text("01", min_size=1, max_size=40),
