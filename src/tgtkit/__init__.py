@@ -15,9 +15,6 @@ from .decode import (
     build_family,
     check_envelope,
     decode,
-    decode_alg1,
-    decode_alg2,
-    decode_alg3,
     decode_from_family,
     is_u_complete,
     w_bound,
@@ -87,9 +84,6 @@ __all__ = [
     "check_envelope",
     "complexity",
     "decode",
-    "decode_alg1",
-    "decode_alg2",
-    "decode_alg3",
     "decode_from_family",
     "delta_thm4",
     "delta_thm5",

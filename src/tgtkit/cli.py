@@ -10,10 +10,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .analysis import appendix_gap_check, complexity
-from .decode import decode
+from .analysis import FORMULA_IDS, appendix_gap_check, complexity
+from .decode import ALGORITHMS, decode
 from .disjunct import (
-    VERIFY_PAIR_CAP, generate, generate_verified, rows_thm1, rows_thm4, rows_thm5,
+    ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, generate, generate_verified,
     verify_disjunct,
 )
 from .errors import EnvelopeDefectError, TGTError, ValidationError
@@ -22,6 +22,7 @@ from .model import GapPolicy, NoiseSpec, TGTParams, encode
 from .simulate import (
     DEFAULT_D_VALUES,
     DEFAULT_N_VALUES,
+    DEFAULT_SCHEMES,
     DEFAULT_Z_VALUES,
     ExperimentSpec,
     SweepSpec,
@@ -47,6 +48,11 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _cmd_gen(args) -> int:
     if args.verify:
+        if args.variant is not None:
+            raise ValidationError(
+                "--variant cannot be combined with --verify, which always "
+                "samples the thm4 row count"
+            )
         result = generate_verified(
             args.n, args.d, args.u, args.z, args.seed,
             max_attempts=args.max_attempts, rows=args.rows,
@@ -54,8 +60,8 @@ def _cmd_gen(args) -> int:
         matrix = result.matrix
         summary = f"rows={matrix.rows} cols={matrix.cols} attempts={result.attempts}"
     else:
-        matrix = generate(args.n, args.d, args.u, args.z, args.seed, args.variant,
-                          rows=args.rows)
+        matrix = generate(args.n, args.d, args.u, args.z, args.seed,
+                          args.variant or "thm4", rows=args.rows)
         summary = f"rows={matrix.rows} cols={matrix.cols}"
     if args.out == "-":
         # keep stdout a clean matrix stream
@@ -82,17 +88,12 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _bound_line(label: str, fn, *fargs) -> str:
-    try:
-        return f"{label}={fn(*fargs)}"
-    except ValidationError as exc:
-        return f"{label}=NA ({exc})"
-
-
 def _cmd_bounds(args) -> int:
-    print(_bound_line("rows_thm1", rows_thm1, args.n, args.d, args.u, args.z))
-    print(_bound_line("rows_thm4", rows_thm4, args.n, args.d, args.u, args.z))
-    print(_bound_line("rows_thm5", rows_thm5, args.n, args.d, args.u, args.z))
+    for scheme, rows in ROW_BOUNDS.items():
+        try:
+            print(f"rows_{scheme}={rows(args.n, args.d, args.u, args.z)}")
+        except ValidationError as exc:
+            print(f"rows_{scheme}=NA ({exc})")
     return 0
 
 
@@ -148,9 +149,9 @@ def _cmd_appendix_check(args) -> int:
 
 def _cmd_simulate_bounds(args) -> int:
     spec = SweepSpec(
-        n_values=_int_list(args.n_values, "n") or DEFAULT_N_VALUES,
-        d_values=_int_list(args.d_values, "d") or DEFAULT_D_VALUES,
-        z_values=_int_list(args.z_values, "z") or DEFAULT_Z_VALUES,
+        n_values=_int_list(args.n_values, "n"),
+        d_values=_int_list(args.d_values, "d"),
+        z_values=_int_list(args.z_values, "z"),
         schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
     )
     csv_text = sweep_to_csv(simulate_bounds(spec))
@@ -184,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--variant", choices=("thm4", "thm5"), default="thm4")
+    p.add_argument("--variant", choices=SAMPLING_VARIANTS, default=None,
+                   help="row-count scheme to sample (default thm4; not with --verify)")
     p.add_argument("--rows", type=int, default=None,
                    help="override the variant's row count")
     p.add_argument("--verify", action="store_true",
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="recover an approximate defective set")
     p.add_argument("--matrix", required=True)
     p.add_argument("--outcome", required=True)
-    p.add_argument("--alg", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--alg", type=int, choices=ALGORITHMS, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
@@ -238,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("complexity", help="closed-form decoding cost")
-    p.add_argument("--formula", choices=("thm3", "thm6", "thm7", "thm8"),
-                   required=True)
+    p.add_argument("--formula", choices=FORMULA_IDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-values", default=",".join(str(v) for v in DEFAULT_N_VALUES))
     p.add_argument("--d-values", default=",".join(str(v) for v in DEFAULT_D_VALUES))
     p.add_argument("--z-values", default=",".join(str(v) for v in DEFAULT_Z_VALUES))
-    p.add_argument("--schemes", default="thm1,thm4")
+    p.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES))
     p.set_defaults(func=_cmd_simulate_bounds)
 
     p = sub.add_parser("experiment", help="run an end-to-end recovery experiment")

@@ -60,6 +60,9 @@ FAMILY_SUBSET_CAP = 10_000_000
 #: default cap on a single extension step's candidate pairs
 EXTENSION_STEP_CAP = 10_000_000
 
+#: the decoders, by the number of the algorithm they run
+ALGORITHMS = (1, 2, 3)
+
 
 @dataclass(frozen=True)
 class Family:
@@ -341,7 +344,7 @@ def _swap_extend(
 
 
 def _greedy_union(family: Family, g: int) -> set[int]:
-    """Algorithm 2's output on a non-empty family (see :func:`decode_alg2`).
+    """Algorithm 2's output on a non-empty family (see :func:`decode`).
     ``current`` only grows, so a skipped edge stays skipped and a picked
     edge adds nothing later: one pass per phase equals rescanning."""
     current = set(family.edges[0])
@@ -365,14 +368,14 @@ def _restricted_family(family: Family, vertices: Iterable[int]) -> Family:
 def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]:
     """The (false-positive, false-negative) envelope of an algorithm when
     the defective set has ``s_size`` items (only algorithm 2 depends on it)."""
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
     g = params.g
     if algorithm == 1:
         return g, g
     if algorithm == 2:
         return w_bound(s_size, params.ell, params.u, g), g
-    if algorithm == 3:
-        return g, 2 * g
-    raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
+    return g, 2 * g
 
 
 def _announce(params: TGTParams, algorithm: int) -> None:
@@ -441,54 +444,25 @@ def decode(
     subset_cap: int = FAMILY_SUBSET_CAP,
     step_cap: int = EXTENSION_STEP_CAP,
 ) -> DecodeResult:
-    """:func:`build_family`, then :func:`decode_from_family`."""
+    """:func:`build_family`, then :func:`decode_from_family`.
+
+    Algorithm 1 is the swap extension; on a verified matrix with at most
+    ``e`` errors it has at most ``g`` false positives and ``g`` false
+    negatives.  Algorithm 2 is the greedy union: phase A unions disjoint
+    edges, phase B unions edges contributing at least ``g + 1`` new items,
+    each phase one lexicographic pass over the family.  Its reported
+    false-positive cap uses ``|S| = d`` (the decoder cannot see the true
+    size; checks against a known truth should use :func:`w_bound` at the
+    actual ``|S|``, as :func:`check_envelope` does).  Algorithm 3 runs
+    algorithm 2 and then the swap extension on the family restricted to
+    its output; envelope ``(g, 2g)``.  ``step_cap`` bounds each extension
+    step and so only matters to algorithms 1 and 3.
+    """
     _require_int("subset_cap", subset_cap)
     _require_int("step_cap", step_cap)
     _announce(params, algorithm)
     family = build_family(matrix, outcome, params.u, params.e, subset_cap)
     return _decode_family(family, params, algorithm, step_cap)
-
-
-def decode_alg1(
-    outcome: OutcomeVector,
-    matrix: BinaryMatrix,
-    params: TGTParams,
-    subset_cap: int = FAMILY_SUBSET_CAP,
-    step_cap: int = EXTENSION_STEP_CAP,
-) -> DecodeResult:
-    """Swap-extension decoder; guarantees at most ``g`` false positives and
-    ``g`` false negatives on a verified matrix with at most ``e`` errors."""
-    return decode(outcome, matrix, params, 1, subset_cap, step_cap)
-
-
-def decode_alg2(
-    outcome: OutcomeVector,
-    matrix: BinaryMatrix,
-    params: TGTParams,
-    subset_cap: int = FAMILY_SUBSET_CAP,
-) -> DecodeResult:
-    """Greedy union decoder.
-
-    Phase A unions disjoint edges; phase B unions edges contributing at
-    least ``g + 1`` new items; each phase is one lexicographic pass over
-    the family.  The reported false-positive cap uses ``|S| = d`` (the
-    decoder cannot see the true size; checks against a known truth should
-    use :func:`w_bound` at the actual ``|S|``).
-    """
-    return decode(outcome, matrix, params, 2, subset_cap)
-
-
-def decode_alg3(
-    outcome: OutcomeVector,
-    matrix: BinaryMatrix,
-    params: TGTParams,
-    subset_cap: int = FAMILY_SUBSET_CAP,
-    step_cap: int = EXTENSION_STEP_CAP,
-) -> DecodeResult:
-    """Two-stage decoder: algorithm 2 proposes a vertex set, and the
-    swap-extension runs on the family restricted to it; envelope
-    ``(g, 2g)``."""
-    return decode(outcome, matrix, params, 3, subset_cap, step_cap)
 
 
 @dataclass(frozen=True)

@@ -77,29 +77,32 @@ def alpha(k: int, u: int, n: int) -> float:
     return k * (1.0 + math.log(n / k)) + u * (1.0 + math.log(k / u))
 
 
-def delta_thm4(alpha_value: float, z: int) -> float:
-    """Positive root of ``z d^2 + 3 alpha d - 3 alpha = 0``; always in (0, 1).
+def _delta(alpha_value: float, z: int, c: float) -> float:
+    """Positive root of ``z d^2 + c alpha d - c alpha = 0``; always in (0, 1).
 
-    Evaluated as ``6 alpha / (3 alpha + sqrt(9 alpha^2 + 12 alpha z))``,
-    which is the same root written without the cancellation-prone
-    subtraction.
+    Evaluated as ``2 c alpha / (c alpha + sqrt(c^2 alpha^2 + 4 c alpha z))``,
+    the same root written without the cancellation-prone subtraction.  The
+    products run left to right, so for ``c = 3`` and ``c = 2`` every
+    operation rounds as in ``6a / (3a + sqrt(9a a + 12a z))`` and
+    ``4a / (2a + sqrt(4a a + 8a z))``; reordering them (say, hoisting
+    ``c * a``) moves the last bit and, near an integer, a row count.
     """
     if not alpha_value > 0:
         raise ValidationError(f"alpha must be positive, got {alpha_value}")
     if z < 1:
         raise ValidationError(f"z must be >= 1, got {z}")
     a = float(alpha_value)
-    return 6.0 * a / (3.0 * a + math.sqrt(9.0 * a * a + 12.0 * a * z))
+    return 2.0 * c * a / (c * a + math.sqrt(c * c * a * a + 4.0 * c * a * z))
+
+
+def delta_thm4(alpha_value: float, z: int) -> float:
+    """Positive root of ``z d^2 + 3 alpha d - 3 alpha = 0``; always in (0, 1)."""
+    return _delta(alpha_value, z, 3.0)
 
 
 def delta_thm5(alpha_value: float, z: int) -> float:
     """Positive root of ``z d^2 + 2 alpha d - 2 alpha = 0``; always in (0, 1)."""
-    if not alpha_value > 0:
-        raise ValidationError(f"alpha must be positive, got {alpha_value}")
-    if z < 1:
-        raise ValidationError(f"z must be >= 1, got {z}")
-    a = float(alpha_value)
-    return 4.0 * a / (2.0 * a + math.sqrt(4.0 * a * a + 8.0 * a * z))
+    return _delta(alpha_value, z, 2.0)
 
 
 @dataclass(frozen=True)
@@ -152,60 +155,48 @@ class BoundParams:
         return self.k * self.k <= self.n * self.u
 
 
-def _int_from_ln(ln_value: float, mode: str) -> int:
-    """Integer ceiling/floor of ``exp(ln_value)`` for values beyond doubles.
-
-    Uses a 16-digit decimal mantissa, which is all the precision the float
-    pipeline carries anyway.
-    """
+def _round_rows(ln_value: float, value: float, rounding) -> int:
+    """``math.ceil`` or ``math.floor`` of a bound.  Past the double range it
+    rounds a 16-digit decimal mantissa taken from the log, which is all the
+    precision the float pipeline carries anyway."""
+    if math.isfinite(value):
+        return rounding(value)
     log10 = ln_value / _LN10
     exp10 = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exp10)
-    scaled = mantissa * 10**15
-    digits = math.ceil(scaled) if mode == "ceil" else math.floor(scaled)
-    return digits * 10 ** (exp10 - 15)
+    return rounding(10.0 ** (log10 - exp10) * 10**15) * 10 ** (exp10 - 15)
 
 
-def _round_rows(ln_value: float, value: float, mode: str) -> int:
-    """Ceiling or floor of a bound, taken from its log past the double range."""
-    if math.isfinite(value):
-        return math.ceil(value) if mode == "ceil" else math.floor(value)
-    return _int_from_ln(ln_value, mode)
-
-
-def _thm1(params: BoundParams) -> tuple[float, float]:
-    """``(ln value, value)`` of the classical bound (``inf`` past doubles)."""
+def _bound(scheme: str, params: BoundParams) -> tuple[float, float]:
+    """``(ln value, value)`` of a scheme's bound before rounding (``inf`` past
+    doubles): the classical ``thm1`` expression, or ``c alpha / (delta^2 q)``
+    with ``c = 3`` for ``thm4`` and ``c = 2`` for ``thm5``."""
     n, d, u, z, k = params.n, params.d, params.u, params.z, params.k
-    bracket = 1.0 + k * (1.0 + math.log(n / k + 1.0))
-    ln_total = (
-        math.log(z) + u * math.log(k / u) + d * math.log(k / d) + math.log(bracket)
-    )
-    if ln_total >= 700.0:
-        return ln_total, math.inf
-    return ln_total, z * (k / u) ** u * (k / d) ** d * bracket
-
-
-def _randomized(params: BoundParams, numerator: float, delta: float) -> tuple[float, float]:
-    """``(ln value, value)`` of ``numerator / (delta^2 q)`` (``inf`` past doubles)."""
-    ln_h = math.log(numerator) - 2.0 * math.log(delta) - params.ln_q
-    if ln_h >= 700.0:
-        return ln_h, math.inf
-    return ln_h, numerator / (delta * delta) * math.exp(-params.ln_q)
-
-
-def _thm4(params: BoundParams) -> tuple[float, float]:
-    a = params.alpha
-    return _randomized(params, 3.0 * a, delta_thm4(a, params.z))
+    if scheme == "thm1":
+        bracket = 1.0 + k * (1.0 + math.log(n / k + 1.0))
+        ln_value = (
+            math.log(z) + u * math.log(k / u) + d * math.log(k / d) + math.log(bracket)
+        )
+    else:
+        c = 3.0 if scheme == "thm4" else 2.0
+        a = params.alpha
+        numerator = c * a
+        delta = _delta(a, z, c)
+        ln_value = math.log(numerator) - 2.0 * math.log(delta) - params.ln_q
+    if ln_value >= 700.0:
+        return ln_value, math.inf
+    if scheme == "thm1":
+        return ln_value, z * (k / u) ** u * (k / d) ** d * bracket
+    return ln_value, numerator / (delta * delta) * math.exp(-params.ln_q)
 
 
 def rows_thm1_value(n: int, d: int, u: int, z: int) -> float:
     """Pre-ceiling value of the classical bound (float; may be ``inf``)."""
-    return _thm1(BoundParams(n, d, u, z))[1]
+    return _bound("thm1", BoundParams(n, d, u, z))[1]
 
 
 def rows_thm1(n: int, d: int, u: int, z: int) -> int:
     """Row count of the classical ``(n, d, u; z]``-disjunct construction."""
-    return _round_rows(*_thm1(BoundParams(n, d, u, z)), "ceil")
+    return _round_rows(*_bound("thm1", BoundParams(n, d, u, z)), math.ceil)
 
 
 def _check_thm4_preconditions(params: BoundParams) -> None:
@@ -221,7 +212,7 @@ def _check_thm4_preconditions(params: BoundParams) -> None:
 
 def rows_thm4_value(n: int, d: int, u: int, z: int) -> float:
     """Pre-ceiling value ``3 alpha / (delta^2 q)`` (float; may be ``inf``)."""
-    return _thm4(BoundParams(n, d, u, z))[1]
+    return _bound("thm4", BoundParams(n, d, u, z))[1]
 
 
 def rows_thm4(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
@@ -235,7 +226,7 @@ def rows_thm4(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
     params = BoundParams(n, d, u, z)
     if strict:
         _check_thm4_preconditions(params)
-    return _round_rows(*_thm4(params), "ceil")
+    return _round_rows(*_bound("thm4", params), math.ceil)
 
 
 def thm5_min_z(n: int, d: int, u: int) -> float:
@@ -249,9 +240,7 @@ def thm5_min_z(n: int, d: int, u: int) -> float:
 
 def rows_thm5_value(n: int, d: int, u: int, z: int) -> float:
     """Pre-floor value ``2 alpha / (delta^2 q)`` (float; may be ``inf``)."""
-    params = BoundParams(n, d, u, z)
-    a = params.alpha
-    return _randomized(params, 2.0 * a, delta_thm5(a, z))[1]
+    return _bound("thm5", BoundParams(n, d, u, z))[1]
 
 
 def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
@@ -269,15 +258,21 @@ def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
         raise ValidationError(
             f"z={z} is below the admissible threshold 4/beta^2 + 1 = {z_min:.4f}"
         )
-    a = params.alpha
-    delta = delta_thm5(a, z)
+    delta = delta_thm5(params.alpha, z)
     if delta > params.beta:
         warnings.warn(
             f"recovered delta={delta:.6f} exceeds beta={params.beta:.6f}; "
             f"the strict bound's guarantee does not apply",
             stacklevel=2,
         )
-    return _round_rows(*_randomized(params, 2.0 * a, delta), "floor") + 1
+    return _round_rows(*_bound("thm5", params), math.floor) + 1
+
+
+#: the row-count calculator of each scheme, by its label
+ROW_BOUNDS = {"thm1": rows_thm1, "thm4": rows_thm4, "thm5": rows_thm5}
+
+#: the schemes :func:`generate` can size a sample by
+SAMPLING_VARIANTS = ("thm4", "thm5")
 
 
 #: bytes of random words drawn per ``getrandbits`` call in _sample_digits
@@ -351,14 +346,11 @@ def generate(
     drawing ``random() < p`` per entry, row by row, from
     ``random.Random(seed)``.
     """
-    if variant not in ("thm4", "thm5"):
+    if variant not in SAMPLING_VARIANTS:
         raise ValidationError(f"unknown generation variant {variant!r}")
     params = BoundParams(n, d, u, z)
     if rows is None:
-        if variant == "thm4":
-            rows = rows_thm4(n, d, u, z, strict=False)
-        else:
-            rows = rows_thm5(n, d, u, z, strict=False)
+        rows = ROW_BOUNDS[variant](n, d, u, z, strict=False)
     _require_int("rows", rows)
     _check_entry_budget(rows, n)
     rng = random.Random(seed)

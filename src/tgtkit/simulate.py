@@ -22,17 +22,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .decode import check_envelope, decode
-from .disjunct import generate, generate_verified, rows_thm1, rows_thm4, rows_thm5
+from .decode import ALGORITHMS, check_envelope, decode
+from .disjunct import ROW_BOUNDS, SAMPLING_VARIANTS, generate, generate_verified
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
 from .model import GapPolicy, NoiseSpec, TGTParams, _check_noise, encode
 
-SCHEMES = ("thm1", "thm4", "thm5")
-
 DEFAULT_N_VALUES = (10**6, 10**8, 10**9, 10**10, 10**11)
 DEFAULT_D_VALUES = (20, 100, 1000)
 DEFAULT_Z_VALUES = (3, 11, 101)
+DEFAULT_SCHEMES = ("thm1", "thm4")
 
 CSV_HEADER = "scheme,n,d,u,ell,z,rows,log10_rows"
 
@@ -54,14 +53,18 @@ class SweepSpec:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     d_values: tuple[int, ...] = DEFAULT_D_VALUES
     z_values: tuple[int, ...] = DEFAULT_Z_VALUES
-    schemes: tuple[str, ...] = ("thm1", "thm4")
+    schemes: tuple[str, ...] = DEFAULT_SCHEMES
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.d_values or not self.z_values:
             raise ValidationError("sweep grid must be non-empty")
+        if not self.schemes:
+            raise ValidationError("sweep schemes must be non-empty")
         for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ValidationError(f"unknown scheme {scheme!r} (expected {SCHEMES})")
+            if scheme not in ROW_BOUNDS:
+                raise ValidationError(
+                    f"unknown scheme {scheme!r} (expected {tuple(ROW_BOUNDS)})"
+                )
         if len(set(self.schemes)) != len(self.schemes):
             raise ValidationError("duplicate schemes in sweep")
         for v in self.n_values + self.d_values + self.z_values:
@@ -97,14 +100,6 @@ class SweepRow:
         )
 
 
-def _scheme_rows(scheme: str, n: int, d_eff: int, u: int, z: int) -> int:
-    if scheme == "thm1":
-        return rows_thm1(n, d_eff, u, z)
-    if scheme == "thm4":
-        return rows_thm4(n, d_eff, u, z)
-    return rows_thm5(n, d_eff, u, z)
-
-
 def simulate_bounds(spec: SweepSpec) -> list[SweepRow]:
     """One row per (scheme, n, d, z), sorted by scheme, then n, d, z."""
     out = []
@@ -115,7 +110,7 @@ def simulate_bounds(spec: SweepSpec) -> list[SweepRow]:
                     u = u_rule(d)
                     ell = ell_rule(d)
                     try:
-                        rows = _scheme_rows(scheme, n, d - ell, u, z)
+                        rows = ROW_BOUNDS[scheme](n, d - ell, u, z)
                     except ValidationError as exc:
                         out.append(
                             SweepRow(scheme, n, d, u, ell, z, None, note=str(exc))
@@ -133,7 +128,7 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 # experiments
 
 
-_GEN_KINDS = ("thm4", "thm5", "verified")
+_GEN_KINDS = SAMPLING_VARIANTS + ("verified",)
 
 _EXPERIMENT_KEYS = {
     "n", "d", "ell", "u", "z", "algorithm", "trials", "seed",
@@ -193,7 +188,7 @@ class ExperimentSpec:
     verified: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in (1, 2, 3):
+        if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be 1, 2 or 3, got {self.algorithm}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")

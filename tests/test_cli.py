@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tgtkit.cli import build_parser, main
-from tgtkit.disjunct import VERIFY_PAIR_CAP, generate
+from tgtkit.disjunct import VERIFY_PAIR_CAP, generate, rows_thm5
 
 from conftest import GOLDEN_OUTCOME, GOLDEN_TEXT
 
@@ -132,6 +132,28 @@ class TestGenVerifyBounds:
         assert BinaryMatrix.parse(stdout).rows == 10
         assert err == "rows=10 cols=6\n"
 
+    @pytest.mark.parametrize("variant", ["thm4", "thm5"])
+    def test_gen_verify_rejects_variant(self, capsys, tmp_path, variant):
+        # --verify always samples the thm4 row count, so a variant would be ignored
+        out = tmp_path / "g.txt"
+        code, stdout, err = run(
+            capsys, "gen", "--n", 8, "--d", 2, "--u", 2, "--z", 1, "--seed", 1,
+            "--verify", "--variant", variant, "--out", out,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: --variant cannot be combined with --verify")
+        assert not out.exists()
+
+    def test_gen_variant_sizes_the_sample(self, capsys):
+        code, stdout, err = run(
+            capsys, "gen", "--n", 10, "--d", 2, "--u", 2, "--z", 40, "--seed", 3,
+            "--variant", "thm5",
+        )
+        assert code == 0
+        assert err == f"rows={rows_thm5(10, 2, 2, 40, strict=False)} cols=10\n"
+        assert stdout == generate(10, 2, 2, 40, 3, "thm5").to_text()
+
     def test_gen_feasibility_exit_code(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "gen", "--n", 10**6, "--d", 18, "--u", 4, "--z", 3,
@@ -238,6 +260,21 @@ class TestSimulateAndExperiment:
         assert code == 0
         assert stdout == f"wrote 2 rows to {out}\n"
         assert out.read_text().count("\n") == 3
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--schemes", "error: sweep schemes must be non-empty\n"),
+            ("--n-values", "error: sweep grid must be non-empty\n"),
+            ("--d-values", "error: sweep grid must be non-empty\n"),
+            ("--z-values", "error: sweep grid must be non-empty\n"),
+        ],
+    )
+    def test_simulate_bounds_empty_input_is_exit_1(self, capsys, flag, message):
+        code, out, err = run(capsys, "simulate-bounds", "--out", "-", flag, "")
+        assert code == 1
+        assert out == ""
+        assert err == message
 
     def test_experiment_golden(self, capsys, golden_files, tmp_path):
         matrix, _ = golden_files

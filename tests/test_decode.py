@@ -25,9 +25,6 @@ from tgtkit import (
     build_family,
     check_envelope,
     decode,
-    decode_alg1,
-    decode_alg2,
-    decode_alg3,
     decode_from_family,
     encode,
     is_u_complete,
@@ -252,19 +249,19 @@ class TestUComplete:
 
 class TestGoldenDecodes:
     def test_alg1(self, golden_matrix, golden_outcome, golden_params):
-        result = decode_alg1(golden_outcome, golden_matrix, golden_params)
+        result = decode(golden_outcome, golden_matrix, golden_params, 1)
         assert result.recovered.members == (1, 2, 4, 5)
         assert result.envelope == (1, 1)
         assert not result.underdetermined
 
     def test_alg2(self, golden_matrix, golden_outcome, golden_params):
-        result = decode_alg2(golden_outcome, golden_matrix, golden_params)
+        result = decode(golden_outcome, golden_matrix, golden_params, 2)
         assert result.recovered.members == (1, 2, 3, 5)
         # a-priori false-positive cap uses |S| = d
         assert result.envelope == (w_bound(4, 0, 2, 1), 1)
 
     def test_alg3(self, golden_matrix, golden_outcome, golden_params):
-        result = decode_alg3(golden_outcome, golden_matrix, golden_params)
+        result = decode(golden_outcome, golden_matrix, golden_params, 3)
         assert result.recovered.members == (2, 3, 5)
         assert result.envelope == (1, 2)
 
@@ -272,8 +269,8 @@ class TestGoldenDecodes:
         # the refinement stage filters the family to the greedy stage's
         # vertex set {1,2,3,5}; that equals a rescan of t0 over the vertex
         # set's pairs, the known 5-edge restriction
-        vertices = decode_alg2(
-            golden_outcome, golden_matrix, golden_params
+        vertices = decode(
+            golden_outcome, golden_matrix, golden_params, 2
         ).recovered.members
         rescan = tuple(
             pair
@@ -343,7 +340,7 @@ class TestGoldenDecodes:
 
     def test_extension_step_cap(self, golden_matrix, golden_outcome, golden_params):
         with pytest.raises(FeasibilityError):
-            decode_alg1(golden_outcome, golden_matrix, golden_params, step_cap=1)
+            decode(golden_outcome, golden_matrix, golden_params, 1, step_cap=1)
 
     @pytest.mark.parametrize(
         "cap, message",
@@ -413,8 +410,8 @@ class TestTinySweep:
 
     def test_alg3_first_stage_matches_alg2(self, golden_matrix, golden_outcome, golden_params):
         # the refinement stage never adds vertices beyond the first stage
-        v = decode_alg2(golden_outcome, golden_matrix, golden_params).recovered
-        refined = decode_alg3(golden_outcome, golden_matrix, golden_params).recovered
+        v = decode(golden_outcome, golden_matrix, golden_params, 2).recovered
+        refined = decode(golden_outcome, golden_matrix, golden_params, 3).recovered
         assert set(refined) <= set(v)
 
 
@@ -554,13 +551,13 @@ class TestNominalSizeWarnings:
         self, golden_matrix, golden_outcome, golden_params
     ):
         with pytest.warns(UserWarning, match="greedy decoding assumes"):
-            decode_alg2(golden_outcome, golden_matrix, golden_params)
+            decode(golden_outcome, golden_matrix, golden_params, 2)
 
     def test_refinement_warns_when_population_is_small(
         self, golden_matrix, golden_outcome, golden_params
     ):
         with pytest.warns(UserWarning, match="refinement decoding assumes"):
-            decode_alg3(golden_outcome, golden_matrix, golden_params)
+            decode(golden_outcome, golden_matrix, golden_params, 3)
 
     def test_each_surface_emits_the_same_notices(
         self, golden_matrix, golden_outcome, golden_params
@@ -573,10 +570,8 @@ class TestNominalSizeWarnings:
             2: ["greedy decoding assumes"],
             3: ["refinement decoding assumes", "greedy decoding assumes"],
         }
-        wrappers = {1: decode_alg1, 2: decode_alg2, 3: decode_alg3}
         for alg, prefixes in expected.items():
             for call in (
-                lambda: wrappers[alg](golden_outcome, golden_matrix, golden_params),
                 lambda: decode(golden_outcome, golden_matrix, golden_params, alg),
                 lambda: decode_from_family(fam, golden_params, alg),
             ):
@@ -598,8 +593,8 @@ class TestNominalSizeWarnings:
         y = encode(matrix, ItemSet.of([1, 2]), 0, 2, GapPolicy.always_negative())
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            decode_alg2(y, matrix, params)
-            decode_alg3(y, matrix, params)
+            decode(y, matrix, params, 2)
+            decode(y, matrix, params, 3)
 
 
 class TestWBound:

@@ -92,6 +92,20 @@ def test_delta_residuals_random(a, z):
     assert abs(z * d5 * d5 + 2 * a * d5 - 2 * a) <= 1e-8 * 2 * a
 
 
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.floats(min_value=1e-6, max_value=1e15),
+    st.integers(min_value=1, max_value=10**15),
+)
+@example(268.75729067028476, 3)
+@example(1166.7482829836729, 101)
+def test_delta_roots_are_bit_identical_to_their_closed_forms(a, z):
+    # the expressions each root was written as before one evaluator served
+    # both, so row counts near an integer cannot move
+    assert delta_thm4(a, z) == 6.0 * a / (3.0 * a + math.sqrt(9.0 * a * a + 12.0 * a * z))
+    assert delta_thm5(a, z) == 4.0 * a / (2.0 * a + math.sqrt(4.0 * a * a + 8.0 * a * z))
+
+
 class TestRowCounts:
     def test_thm1_frozen(self):
         assert rows_thm1(10**6, 18, 4, 3) == 26331299

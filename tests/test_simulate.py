@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import math
 import random
@@ -110,6 +111,24 @@ class TestSimulateBounds:
     def test_bad_scheme_rejected(self):
         with pytest.raises(ValidationError):
             SweepSpec(schemes=("thm2",))
+
+    def test_empty_schemes_rejected(self):
+        with pytest.raises(ValidationError, match="^sweep schemes must be non-empty$"):
+            SweepSpec(schemes=())
+
+    def test_wide_grid_digest(self):
+        # every scheme over 630 points, 120 of them NA rows; the digest pins
+        # each row count and each precondition message to the last bit
+        spec = SweepSpec(
+            d_values=(5, 10, 20, 50, 100, 1000),
+            z_values=(1, 3, 7, 11, 31, 101, 1001),
+            schemes=("thm1", "thm4", "thm5"),
+        )
+        rows = simulate_bounds(spec)
+        assert len(rows) == 630
+        assert sum(r.rows is None for r in rows) == 120
+        digest = hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest()
+        assert digest == "737028e8950d5326b0935fcc91a48d886b17c41ffba85695d2d818c9003f01f5"
 
 
 GOLDEN_SPEC = """\
