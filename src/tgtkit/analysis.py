@@ -22,13 +22,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .decode import w_bound
 from .disjunct import rows_thm1, rows_thm4
 from .errors import ValidationError
 from .model import TGTParams
 
-FORMULA_IDS = ("thm3", "thm6", "thm7", "thm8")
+
+_ROWS_THM4 = partial(rows_thm4, strict=False)
+
+#: formula id -> (test-count calculator at ``(n, d - ell, u, z)``, extension
+#: pool size from the parameters and ``|S|``, or None: no extension term)
+_FORMULAS = {
+    "thm3": (rows_thm1, lambda p, s_size: p.n - p.u),
+    "thm6": (_ROWS_THM4, lambda p, s_size: p.n - p.u),
+    "thm7": (_ROWS_THM4, None),
+    "thm8": (_ROWS_THM4, lambda p, s_size: w_bound(s_size, p.ell, p.u, p.g) + p.d - p.u),
+}
+
+FORMULA_IDS = tuple(_FORMULAS)
+
+
+def _extension_term(pool: int, d: int, u: int, g: int) -> int:
+    """``(d - u) C(pool, g + 1) C(d - 1, g) C(d, u)``."""
+    return (d - u) * math.comb(pool, g + 1) * math.comb(d - 1, g) * math.comb(d, u)
 
 
 @dataclass(frozen=True)
@@ -58,34 +76,18 @@ def complexity(
     """
     if formula not in FORMULA_IDS:
         raise ValidationError(f"unknown formula {formula!r} (expected {FORMULA_IDS})")
-    g = TGTParams(n, d, ell, u, z).g
+    params = TGTParams(n, d, ell, u, z)
     if s_size is None:
         s_size = d
     if not 0 <= s_size <= d:
         raise ValidationError(f"s_size must be in 0..d, got {s_size}")
-
-    if formula == "thm3":
-        tests = rows_thm1(n, d - ell, u, z)
-    else:
-        tests = rows_thm4(n, d - ell, u, z, strict=False)
-
+    rows, pool_rule = _FORMULAS[formula]
+    tests = rows(n, d - ell, u, z)
     term_family = tests * u * math.comb(n, u)
-    if formula == "thm7":
-        term_extension = 0
-    else:
-        if formula == "thm8":
-            w = w_bound(s_size, ell, u, g)
-            pool = w + d - u
-        else:
-            pool = n - u
-        term_extension = (
-            tests
-            * u
-            * (d - u)
-            * math.comb(pool, g + 1)
-            * math.comb(d - 1, g)
-            * math.comb(d, u)
-        )
+    term_extension = 0
+    if pool_rule is not None:
+        pool = pool_rule(params, s_size)
+        term_extension = tests * u * _extension_term(pool, d, u, params.g)
     return ComplexityReport(formula, term_family, term_extension)
 
 
@@ -118,15 +120,11 @@ def appendix_gap_check(u: int, n: int) -> AppendixGapReport:
     ``R = C(n, u)`` for every ``n`` over the threshold, which is why it
     cannot be dropped from the ``thm3``/``thm6`` totals.
     """
-    if u < 2:
-        raise ValidationError(f"u must be >= 2, got {u}")
     minimum = appendix_threshold(u)
     if n < minimum:
         raise ValidationError(
             f"n={n} below the regime threshold {minimum} for u={u}"
         )
-    d = 2 * u
-    g = u - 1
-    lhs = (d - u) * math.comb(n - u, g + 1) * math.comb(d - 1, g) * math.comb(d, u)
+    lhs = _extension_term(n - u, 2 * u, u, u - 1)
     rhs = math.comb(n, u)
     return AppendixGapReport(u=u, n=n, lhs=lhs, rhs=rhs)

@@ -389,7 +389,7 @@ def _announce(params: TGTParams, algorithm: int) -> None:
             "proceeding anyway",
             stacklevel=3,
         )
-    if algorithm != 1 and math.e**2 * params.k_disjunct**2 > params.n * params.u:
+    if algorithm != 1 and math.e**2 * (params.d + params.u) ** 2 > params.n * params.u:
         warnings.warn(
             "greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway",
             stacklevel=3,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -231,10 +230,7 @@ def rows_thm4(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
 
 def thm5_min_z(n: int, d: int, u: int) -> float:
     """Smallest admissible ``z`` for the strict variant, ``4 / beta^2 + 1``."""
-    params = BoundParams(n, d, u, 1)
-    beta = params.beta
-    if beta <= 0:
-        return math.inf
+    beta = BoundParams(n, d, u, 1).beta
     return 4.0 / (beta * beta) + 1.0
 
 
@@ -246,9 +242,11 @@ def rows_thm5_value(n: int, d: int, u: int, z: int) -> float:
 def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
     """Row count of the strict randomized variant, ``floor(...) + 1``.
 
-    Requires ``z >= 4 / beta^2 + 1``; for such ``z`` the recovered
-    ``delta`` provably lands in ``(0, beta]`` and the result is strictly
-    below ``rows_thm1`` at the same parameters.
+    Requires ``z >= 4 / beta^2 + 1``; for such ``z`` the result is strictly
+    below ``rows_thm1`` at the same parameters, and the recovered ``delta``
+    lies in ``(0, beta)`` with no check needed: the quadratic is increasing
+    on ``(0, 1)`` and at ``beta`` equals ``z beta^2 - 4 >= beta^2 > 0``
+    (``beta >= 1/3``, as ``alpha >= k + u >= 3``).
     """
     params = BoundParams(n, d, u, z)
     if strict:
@@ -257,13 +255,6 @@ def rows_thm5(n: int, d: int, u: int, z: int, strict: bool = True) -> int:
     if z < z_min:
         raise ValidationError(
             f"z={z} is below the admissible threshold 4/beta^2 + 1 = {z_min:.4f}"
-        )
-    delta = delta_thm5(params.alpha, z)
-    if delta > params.beta:
-        warnings.warn(
-            f"recovered delta={delta:.6f} exceeds beta={params.beta:.6f}; "
-            f"the strict bound's guarantee does not apply",
-            stacklevel=2,
         )
     return _round_rows(*_bound("thm5", params), math.floor) + 1
 

@@ -66,21 +66,6 @@ class TGTParams:
         """Tolerated outcome errors ``(z - 1) // 2``."""
         return (self.z - 1) // 2
 
-    @property
-    def k_decode(self) -> int:
-        """``d - ell + u``: column-set size driving the decoding matrix."""
-        return self.d - self.ell + self.u
-
-    @property
-    def k_disjunct(self) -> int:
-        """``d + u``: column-set size in raw disjunct-matrix bounds."""
-        return self.d + self.u
-
-    def construction_size_ok(self) -> bool:
-        """Whether ``(d + u)^2 / u <= n``, required by the randomized
-        row-count bounds (checked on demand, not at creation)."""
-        return (self.d + self.u) ** 2 <= self.n * self.u
-
 
 def _parse_rows(text: str, label: str, with_bits: bool) -> tuple:
     """Parse ``row,...`` (or ``row:bit,...`` when ``with_bits``) into a tuple

@@ -23,7 +23,9 @@ from pathlib import Path
 from typing import Optional
 
 from .decode import ALGORITHMS, check_envelope, decode
-from .disjunct import ROW_BOUNDS, SAMPLING_VARIANTS, generate, generate_verified
+from .disjunct import (
+    ROW_BOUNDS, SAMPLING_VARIANTS, BoundParams, generate, generate_verified, rows_thm4,
+)
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
 from .model import GapPolicy, NoiseSpec, TGTParams, _check_noise, encode
@@ -128,7 +130,8 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 # experiments
 
 
-_GEN_KINDS = SAMPLING_VARIANTS + ("verified",)
+#: generate kind -> the row-count calculator that sizes its samples
+_GEN_ROWS = {**{v: ROW_BOUNDS[v] for v in SAMPLING_VARIANTS}, "verified": rows_thm4}
 
 _EXPERIMENT_KEYS = {
     "n", "d", "ell", "u", "z", "algorithm", "trials", "seed",
@@ -196,7 +199,7 @@ class ExperimentSpec:
             raise ValidationError(
                 "exactly one of matrix=<path> or generate=<kind> is required"
             )
-        if self.generate_kind is not None and self.generate_kind not in _GEN_KINDS:
+        if self.generate_kind is not None and self.generate_kind not in _GEN_ROWS:
             raise ValidationError(f"unknown generate kind {self.generate_kind!r}")
         if self.rows_override is not None:
             if self.matrix_path is not None:
@@ -220,6 +223,13 @@ class ExperimentSpec:
                 "policy=explicit needs defectives=<items>: its fixed rows cannot "
                 "cover the gap rows of the random sets that s_size= draws"
             )
+        if self.generate_kind is not None:
+            # fail here, not in run_experiment, on what generation would reject
+            p = self.params
+            bound = (p.n, p.d - p.ell, p.u, p.z)
+            BoundParams(*bound)
+            if self.rows_override is None:
+                _GEN_ROWS[self.generate_kind](*bound, strict=False)
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentSpec":

@@ -15,7 +15,7 @@ from tgtkit import (
     rows_thm4,
     w_bound,
 )
-from tgtkit.analysis import appendix_threshold
+from tgtkit.analysis import FORMULA_IDS, appendix_threshold
 
 
 class TestComplexity:
@@ -104,6 +104,46 @@ class TestComplexity:
     def test_parameter_messages(self, args, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             complexity("thm6", *args)
+
+
+def _closed_form(formula, n, d, ell, u, z, s_size):
+    """``(family term, extension term)`` as the module docstring states them."""
+    g = u - ell - 1
+    if formula == "thm3":
+        t = rows_thm1(n, d - ell, u, z)
+    else:
+        t = rows_thm4(n, d - ell, u, z, strict=False)
+    family = t * u * math.comb(n, u)
+    if formula == "thm7":
+        return family, 0
+    if formula == "thm8":
+        w = (s_size // (ell + 1) + u - 1) * g
+        pool = w + d - u
+    else:
+        pool = n - u
+    return family, t * u * (d - u) * math.comb(pool, g + 1) * math.comb(
+        d - 1, g
+    ) * math.comb(d, u)
+
+
+@pytest.mark.parametrize("formula", FORMULA_IDS)
+@pytest.mark.parametrize(
+    "n, d, ell, u, z",
+    [
+        (100, 8, 1, 4, 3),
+        (50, 6, 1, 2, 3),  # g = 0
+        (40, 6, 2, 3, 5),  # g = 0
+        (30, 5, 0, 3, 1),
+        (1000, 12, 2, 5, 11),
+    ],
+)
+@pytest.mark.parametrize("s_size", [None, 0, 1, 3])
+def test_complexity_matches_closed_forms(formula, n, d, ell, u, z, s_size):
+    report = complexity(formula, n, d, ell, u, z, s_size=s_size)
+    expected = _closed_form(formula, n, d, ell, u, z, d if s_size is None else s_size)
+    assert (report.formula, report.term_family, report.term_extension) == (
+        formula, *expected
+    )
 
 
 class TestAppendixGapCheck:

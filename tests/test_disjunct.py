@@ -188,6 +188,25 @@ class TestRowCounts:
         assert 0 < p.beta < 1
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    u=st.integers(1, 300),
+    d=st.integers(1, 2000),
+    spare=st.integers(0, 10**12),
+    z_extra=st.integers(0, 10**6),
+)
+@example(u=1, d=1, spare=0, z_extra=0)  # n = k = 2: the smallest alpha
+def test_thm5_delta_below_beta_when_admissible(u, d, spare, z_extra):
+    # why rows_thm5 needs no runtime check: alpha >= k + u >= 3 gives
+    # beta >= 1/3, and z >= 4/beta^2 + 1 makes the quadratic positive at beta
+    n = d + u + spare
+    params = BoundParams(n, d, u, 1)
+    z = math.ceil(thm5_min_z(n, d, u)) + z_extra
+    assert params.beta >= 1 / 3
+    assert delta_thm5(params.alpha, z) < params.beta
+
+
+
 class TestGenerate:
     def test_shape_and_determinism(self):
         m1 = generate(6, 4, 2, 1, seed=42)

@@ -1,10 +1,13 @@
-"""The README's library overview names only what the modules define."""
+"""The README's library overview and the cost-formula table name only what the
+modules define."""
 
 from __future__ import annotations
 
 import importlib
 import re
 from pathlib import Path
+
+from tgtkit import analysis
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +31,9 @@ def test_overview_names_are_module_attributes():
         assert names, module_name
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module_name, missing)
+
+
+def test_formula_table_lists_formula_ids():
+    # the cost formulas' written table and the code's table stay one list
+    table = analysis.__doc__.split("========", 1)[1].rsplit("========", 1)[0]
+    assert tuple(re.findall(r"^``(\w+)``\s", table, re.MULTILINE)) == analysis.FORMULA_IDS

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tgtkit import (
     BinaryMatrix,
+    BoundParams,
     GapPolicy,
     ItemSet,
     NoiseSpec,
@@ -35,8 +36,6 @@ class TestParams:
         p = TGTParams(n=100, d=17, ell=2, u=10, z=5)
         assert p.g == 7
         assert p.e == 2
-        assert p.k_decode == 25
-        assert p.k_disjunct == 27
 
     def test_ordering_invariants(self):
         with pytest.raises(ValidationError):
@@ -47,8 +46,11 @@ class TestParams:
             TGTParams(n=6, d=4, ell=0, u=2, z=0)
 
     def test_size_condition_on_demand(self):
-        assert not TGTParams(n=6, d=4, ell=0, u=2).construction_size_ok()
-        assert TGTParams(n=1000, d=4, ell=0, u=2).construction_size_ok()
+        # checked where designs are sized, at d - ell, not at creation;
+        # n=20, d=5, ell=1 passes at d - ell = 4 but would fail at d
+        for n, d, ell, ok in ((6, 4, 0, False), (1000, 4, 0, True), (20, 5, 1, True)):
+            p = TGTParams(n=n, d=d, ell=ell, u=2)
+            assert BoundParams(p.n, p.d - p.ell, p.u, p.z).size_condition_ok() is ok
 
 
 class TestEncode:

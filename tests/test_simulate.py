@@ -231,6 +231,33 @@ class TestExperimentSpec:
         spec = ExperimentSpec.parse(base + "rows=7\nmax_attempts=1\n")
         assert (spec.rows_override, spec.max_attempts) == (7, 1)
 
+    @pytest.mark.parametrize(
+        "d, kind, message",
+        [
+            (2, "thm5", "z=1 is below the admissible threshold 4/beta^2 + 1 = 7.2014"),
+            (7, "thm4", "need d + u <= n, got d=7 u=2 n=8"),
+            (7, "verified", "need d + u <= n, got d=7 u=2 n=8"),
+        ],
+    )
+    def test_generation_bounds_checked_at_parse(self, d, kind, message):
+        # trials=0: nothing runs, so only parsing can catch these
+        base = (
+            f"n=8\nd={d}\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\n"
+            f"generate={kind}\ns_size=2\n"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.parse(base)
+        if kind == "thm4":  # a row override skips the calculator, not n
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                ExperimentSpec.parse(base + "rows=30\n")
+
+    def test_rows_override_runs_below_the_thm5_threshold(self):
+        spec = ExperimentSpec.parse(
+            "n=8\nd=2\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=2\nseed=0\n"
+            "generate=thm5\ns_size=2\nrows=30\n"
+        )
+        assert run_experiment(spec).matrix_rows == 30
+
     def test_rows_with_matrix_file_rejected(self, golden_file):
         text = GOLDEN_SPEC.format(matrix=golden_file) + "rows=50\n"
         with pytest.raises(ValidationError, match="rows= needs generate="):
