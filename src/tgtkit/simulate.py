@@ -24,7 +24,8 @@ from typing import Optional
 
 from .decode import ALGORITHMS, check_envelope, decode
 from .disjunct import (
-    ROW_BOUNDS, SAMPLING_VARIANTS, BoundParams, generate, generate_verified, rows_thm4,
+    ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, BoundParams, _check_entry_budget,
+    _check_pair_cap, generate, generate_verified, rows_thm4,
 )
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
@@ -171,7 +172,10 @@ class ExperimentSpec:
     random sets.  ``noise`` is ``none`` (default), ``flip_rows`` with
     ``noise_rows=row,...``, or ``random_flips`` with ``noise_count``.
     Rows are 1-based and a row listed twice is an error.  Every setting is
-    checked at parse time, whether or not its kind uses it.  The
+    checked at parse time, whether or not its kind uses it; so is the size
+    of a ``generate=`` sample against the entry budget and, for
+    ``generate=verified``, its verification against the pair cap, with the
+    ``FeasibilityError`` that :func:`run_experiment` would raise.  The
     Bernoulli-policy and random-noise seeds are derived per trial from
     ``seed``.
     """
@@ -228,8 +232,12 @@ class ExperimentSpec:
             p = self.params
             bound = (p.n, p.d - p.ell, p.u, p.z)
             BoundParams(*bound)
-            if self.rows_override is None:
-                _GEN_ROWS[self.generate_kind](*bound, strict=False)
+            rows = self.rows_override
+            if rows is None:
+                rows = _GEN_ROWS[self.generate_kind](*bound, strict=False)
+            if self.generate_kind == "verified":
+                _check_pair_cap(p.n, p.d - p.ell, p.u, VERIFY_PAIR_CAP)
+            _check_entry_budget(rows, p.n)
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentSpec":

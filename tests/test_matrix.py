@@ -2,15 +2,32 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tgtkit import BinaryMatrix, ItemSet, OutcomeVector, ValidationError
+from tgtkit import (
+    BinaryMatrix,
+    GapPolicy,
+    ItemSet,
+    OutcomeVector,
+    TGTParams,
+    ValidationError,
+    build_family,
+    check_consistency,
+    decode,
+    encode,
+    generate,
+    t0,
+    verify_disjunct,
+)
 
 from conftest import GOLDEN_TEXT
 
@@ -40,10 +57,29 @@ def test_matrix_rejects_garbage():
         BinaryMatrix.parse("2 2\n11")  # missing row
     with pytest.raises(ValidationError):
         BinaryMatrix.parse("1 2\nx1")
+    for text, message in (
+        ("0 3\n", "matrix dimensions must be positive"),
+        ("0 0\n", "matrix dimensions must be positive"),
+        ("2 0\n\n\n", "expected 2 matrix rows, found 0"),
+        ("1 0\n\n", "expected 1 matrix rows, found 0"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            BinaryMatrix.parse(text)
     header = '^matrix header must be "t n" with integers$'
     for head in ("+1 2", "1 0_2", "1 \uff12", "1 2.0"):  # int() takes all but the last
         with pytest.raises(ValidationError, match=header):
             BinaryMatrix.parse(head + "\n11")
+
+
+def test_matrix_constructor_checks_the_masks():
+    assert BinaryMatrix(2, 3, (0b111, 0)) == BinaryMatrix.parse("2 3\n111\n000\n")
+    for masks, bad in (((1, 8), 2), ((1, -1), 2), ((8, 16, -1), 1), ((0, 7, 9), 3)):
+        with pytest.raises(ValidationError, match=f"^row {bad} has bits outside 1..3$"):
+            BinaryMatrix(len(masks), 3, masks)
+    with pytest.raises(ValidationError, match="^expected 2 row masks, got 1$"):
+        BinaryMatrix(2, 3, (1,))
+    with pytest.raises(ValidationError, match="^matrix dimensions must be positive$"):
+        BinaryMatrix(1, 0, (0,))
 
 
 def test_matrix_from_bits_matches_parse():
@@ -233,6 +269,100 @@ def test_matrix_text_round_trip_and_transpose(t, n, seed, density):
     assert back == m and back.col_masks == m.col_masks
 
 
+def _row_text(mask, n):
+    """Row ``mask`` as its ``n`` digits, item 1 first: the per-row oracle for
+    ``to_text``."""
+    return format(mask, f"0{n}b")[::-1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    t=st.integers(1, 70),
+    n=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_every_construction_route_gives_the_same_matrix(t, n, seed, density):
+    rng = random.Random(seed)
+    rows = tuple(
+        sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)
+    )
+    text = f"{t} {n}\n" + "".join(_row_text(mask, n) + "\n" for mask in rows)
+    m = BinaryMatrix(t, n, rows)
+    routes = [
+        m,
+        BinaryMatrix.parse(m.to_text()),
+        BinaryMatrix._from_digits(t, n, "".join(_row_text(mask, n) for mask in rows)),
+        BinaryMatrix.from_bits([[mask >> j & 1 for j in range(n)] for mask in rows]),
+    ]
+    for route in routes:
+        assert route == m and hash(route) == hash(m)
+        assert route.col_masks == _per_bit_columns(rows, n)
+        assert route.to_text() == text
+        for twin in (copy.copy(route), copy.deepcopy(route), pickle.loads(pickle.dumps(route))):
+            assert twin == m and hash(twin) == hash(m) and twin.to_text() == text
+        assert route.row_masks == rows
+        assert pickle.loads(pickle.dumps(route)).row_masks == rows
+
+
+def _rows_built(matrix):
+    """Whether the matrix has built its row masks."""
+    return "_row_masks" in vars(matrix)
+
+
+def test_no_kernel_builds_the_row_masks(tmp_path):
+    # the kernels read columns only; a kernel that reads rows fails here
+    # rather than silently paying a transpose
+    params = TGTParams(n=8, d=3, ell=0, u=2, z=3)
+    m = generate(params.n, params.d, params.u, params.z, seed=5)
+    assert not _rows_built(m)
+    text = m.to_text()
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    parsed, loaded = BinaryMatrix.parse(text), BinaryMatrix.load(path)
+    assert parsed == loaded == m
+    defectives = ItemSet.of([2, 5, 7])
+    outcome = encode(m, defectives, params.ell, params.u, GapPolicy.always_negative())
+    build_family(m, outcome, params.u, params.e)
+    for algorithm in (1, 2, 3):
+        decode(outcome, m, params, algorithm)
+    verify_disjunct(m, params.d, params.u, params.z)
+    t0(m, outcome, defectives)
+    check_consistency(m, defectives, outcome, params.ell, params.u)
+    assert not any(_rows_built(x) for x in (m, parsed, loaded))
+    assert m.row_masks == parsed.row_masks and m.row_masks is m.row_masks
+    # the constructor keeps the row masks it was given
+    assert _rows_built(BinaryMatrix(m.rows, m.cols, m.row_masks))
+
+
+def test_threads_reading_unbuilt_row_masks_agree():
+    # threads that race to build the row masks each get the right tuple
+    rng = random.Random(0)
+    rows = tuple(rng.getrandbits(40) for _ in range(300))
+    text = BinaryMatrix(300, 40, rows).to_text()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            m = BinaryMatrix.parse(text)
+            seen = []
+            start = threading.Barrier(8)
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(m.row_masks)
+
+            workers = [threading.Thread(target=read) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not any(w.is_alive() for w in workers)
+            assert seen == [rows] * 8 and m.row_masks == rows
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**300))
 @example(0)
@@ -366,7 +496,10 @@ def _reference_parsed_or_error(text):
 
 
 #: ways to break a valid matrix text; "١" is a digit that int(..., 2) takes,
-#: and a lone surrogate cannot be encoded
+#: a lone surrogate cannot be encoded, "move_digit" keeps the length and the
+#: newline count, and "\x1c" splits a line for ``splitlines`` but not for
+#: ``split(" ")``; "crlf" to "no_final_newline" keep the matrix but leave the
+#: canonical layout, so parse must normalise the text first
 _TEXT_MUTATIONS = st.sampled_from(
     [
         "none",
@@ -377,6 +510,12 @@ _TEXT_MUTATIONS = st.sampled_from(
         "surrogate",
         "missing_row",
         "zero_rows",
+        "crlf",
+        "blank_line",
+        "indent",
+        "no_final_newline",
+        "move_digit",
+        "header_separator",
     ]
 )
 
@@ -399,7 +538,20 @@ def _mutate_text(rows, n, mutation, i, k):
         del rows[i]
     elif mutation == "zero_rows":  # a "0 n" header, above no rows or the old ones
         t, rows = 0, rows if k % 2 else []
-    return f"{t} {n}\n" + "\n".join(rows) + "\n"
+    elif mutation == "blank_line":
+        rows.insert(i, " \t" if k % 2 else "")
+    elif mutation == "indent":
+        rows[i] = "  " + rows[i] if k % 2 else rows[i] + "\t"
+    elif mutation == "move_digit":  # row i gains the last digit of the next row
+        j = (i + 1) % t
+        rows[i], rows[j] = rows[i] + rows[j][-1], rows[j][:-1]
+    head = f"{t}\x1c{n}" if mutation == "header_separator" else f"{t} {n}"
+    text = head + "\n" + "\n".join(rows) + "\n"
+    if mutation == "crlf":
+        return text.replace("\n", "\r\n")
+    if mutation == "no_final_newline":
+        return text[:-1]
+    return text
 
 
 @settings(max_examples=400, deadline=None)
@@ -413,6 +565,12 @@ def _mutate_text(rows, n, mutation, i, k):
 @example(rows=["1"], mutation="ragged", pick=0, k=0)  # an empty row is skipped
 @example(rows=["011"], mutation="zero_rows", pick=0, k=0)
 @example(rows=["011"], mutation="zero_rows", pick=0, k=1)
+@example(rows=["01", "10"], mutation="crlf", pick=0, k=0)
+@example(rows=["01", "10"], mutation="blank_line", pick=1, k=1)
+@example(rows=["01", "10"], mutation="indent", pick=0, k=0)
+@example(rows=["1"], mutation="no_final_newline", pick=0, k=0)
+@example(rows=["011", "101"], mutation="move_digit", pick=0, k=0)
+@example(rows=["01", "10"], mutation="header_separator", pick=0, k=0)
 def test_parse_matches_per_line_reference(rows, mutation, pick, k):
     # one-pass validation gives the same matrix, or the same first error,
     # as checking and converting each line on its own

@@ -19,6 +19,7 @@ from tgtkit import (
     BinaryMatrix,
     EnvelopeDefectError,
     ExperimentSpec,
+    FeasibilityError,
     GapPolicy,
     ItemSet,
     NoiseSpec,
@@ -27,6 +28,8 @@ from tgtkit import (
     ValidationError,
     decode,
     encode,
+    generate,
+    generate_verified,
     rows_thm1,
     rows_thm4,
     rows_thm5,
@@ -250,6 +253,35 @@ class TestExperimentSpec:
         if kind == "thm4":  # a row override skips the calculator, not n
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 ExperimentSpec.parse(base + "rows=30\n")
+
+    @pytest.mark.parametrize(
+        "spec_text, generation",
+        [
+            (
+                "n=100000\nd=60\nell=0\nu=20\nz=101\ngenerate=thm4\n",
+                lambda: generate(100000, 60, 20, 101, 0),
+            ),
+            (
+                "n=12\nd=3\nell=0\nu=2\nz=1\ngenerate=thm4\nrows=99999999\n",
+                lambda: generate(12, 3, 2, 1, 0, rows=99999999),
+            ),
+            (  # 2,153,331,180 pairs to verify
+                "n=40\nd=6\nell=0\nu=2\nz=1\ngenerate=verified\n",
+                lambda: generate_verified(40, 6, 2, 1, 0),
+            ),
+        ],
+    )
+    def test_generation_caps_checked_at_parse(self, spec_text, generation, tmp_path, capsys):
+        # trials=0: parsing must raise what generation would, before any trial
+        text = spec_text + "algorithm=1\ntrials=0\nseed=0\ns_size=2\n"
+        with pytest.raises(FeasibilityError) as expected:
+            generation()
+        with pytest.raises(FeasibilityError, match=f"^{re.escape(str(expected.value))}$"):
+            ExperimentSpec.parse(text)
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        assert main(["experiment", "--spec", str(path)]) == 2
+        assert str(expected.value) in capsys.readouterr().err
 
     def test_rows_override_runs_below_the_thm5_threshold(self):
         spec = ExperimentSpec.parse(
