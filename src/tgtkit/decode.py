@@ -21,9 +21,13 @@ and in the false-positive/false-negative envelope they guarantee:
   ``t0 <= e``), then run the algorithm-1 extension inside it; envelope
   ``(g, 2g)``.
 
-Each decoder is a function of the edge family alone: :func:`build_family`
-runs once per decode, and :func:`decode_from_family` runs any of the three
-on a family already built.
+Each decoder is a function of the edge family alone, and
+:func:`decode_from_family` runs any of the three on a family already
+built.  :func:`decode` builds the family once for algorithms 2 and 3.
+Algorithm 1 needs only the first edge and a test of "is ``T`` an edge?",
+so :func:`decode` does not build the family for it: the enumeration that
+builds the family stops at its first edge, and the extension tests
+``t0(T) <= e`` for each ``u``-subset ``T`` it asks about, once each.
 
 The swap extension of algorithms 1 and 3 is a pruned search.  Its current
 set ``S`` is always u-complete (it starts as an edge, and each step returns
@@ -47,7 +51,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from .disjunct import _require_int
 from .errors import FeasibilityError, ValidationError
@@ -128,6 +132,16 @@ def build_family(
     subset_cap: int = FAMILY_SUBSET_CAP,
 ) -> Family:
     """All ``u``-subsets with ``t0 <= e``, enumerated lexicographically."""
+    screen, full = _family_masks(matrix, outcome, u, e, subset_cap)
+    return Family._of_valid_edges(u, tuple(_edges(screen, full, u, e)))
+
+
+def _family_masks(
+    matrix: BinaryMatrix, outcome: OutcomeVector, u: int, e: int, subset_cap: int
+) -> tuple[list[int], list[int]]:
+    """Check the family's arguments and return the ``(screen, full)`` masks
+    of :func:`_edges`: each column's negative rows, within the first
+    ``_SCREEN_ROWS`` rows and over all of them (one list if all rows fit)."""
     _require_int("subset_cap", subset_cap)
     if u < 1:
         raise ValidationError(f"u must be >= 1, got {u}")
@@ -145,27 +159,22 @@ def build_family(
     negatives = outcome.negatives_mask
     full = [mask & negatives for mask in matrix.col_masks]
     if matrix.rows <= _SCREEN_ROWS:
-        screen = full  # the screen is exact; no subset needs a second look
-    else:
-        low_rows = (1 << _SCREEN_ROWS) - 1
-        screen = [mask & low_rows for mask in full]
-    edges: list[tuple[int, ...]] = []
-    _extend_edges(screen, full, u, e, (), -1, -1, 0, edges)
-    return Family._of_valid_edges(u, tuple(edges))
+        return full, full  # the screen is exact; no subset needs a second look
+    low_rows = (1 << _SCREEN_ROWS) - 1
+    return [mask & low_rows for mask in full], full
 
 
-def _extend_edges(
+def _edges(
     screen: list[int],
     full: list[int],
     u: int,
     e: int,
-    prefix: tuple[int, ...],
-    prefix_screen: int,
-    prefix_full: Optional[int],
-    start: int,
-    edges: list[tuple[int, ...]],
-) -> None:
-    """Append, in lexicographic order, every edge that extends ``prefix``
+    prefix: tuple[int, ...] = (),
+    prefix_screen: int = -1,
+    prefix_full: Optional[int] = -1,
+    start: int = 0,
+) -> Iterator[tuple[int, ...]]:
+    """Yield, in lexicographic order, every edge that extends ``prefix``
     (sorted 1-based items) by items from ``start + 1`` on.
 
     ``screen[j]`` and ``full[j]`` are the negative rows of 0-based column
@@ -173,7 +182,8 @@ def _extend_edges(
     ``prefix_full`` intersect them over ``prefix``, and ``prefix_full`` is
     None until some extension passes the screen.  A count over a subset of
     the rows is a lower bound on ``t0``, so a screen count above ``e``
-    rejects exactly.
+    rejects exactly.  Nothing is computed past the last edge drawn, so
+    ``next`` on the full enumeration is a search for the first edge.
     """
     n = len(full)
     need = u - len(prefix)
@@ -188,7 +198,8 @@ def _extend_edges(
             if prefix_full is None:
                 prefix_full = _common_rows(full, prefix)
             hits = [k for k in hits if (prefix_full & full[k]).bit_count() <= e]
-        edges.extend(prefix + (k + 1,) for k in hits)
+        for k in hits:
+            yield prefix + (k + 1,)
         return
     for k in range(start, n - need + 1):
         rows = prefix_screen & screen[k]
@@ -201,14 +212,10 @@ def _extend_edges(
             if exact or rows_full.bit_count() <= e:
                 # t0 only falls as items join, so every extension is an edge
                 grown = prefix + (k + 1,)
-                edges.extend(
-                    grown + rest
-                    for rest in combinations(range(k + 2, n + 1), need - 1)
-                )
+                for rest in combinations(range(k + 2, n + 1), need - 1):
+                    yield grown + rest
                 continue
-        _extend_edges(
-            screen, full, u, e, prefix + (k + 1,), rows, rows_full, k + 1, edges
-        )
+        yield from _edges(screen, full, u, e, prefix + (k + 1,), rows, rows_full, k + 1)
 
 
 def _common_rows(masks: list[int], items: tuple[int, ...]) -> int:
@@ -216,6 +223,27 @@ def _common_rows(masks: list[int], items: tuple[int, ...]) -> int:
     for j in items:
         rows &= masks[j - 1]
     return rows
+
+
+class _EdgeTest:
+    """``T in tester`` for a sorted ``u``-tuple ``T``: whether ``t0(T) <= e``
+    over the masks of :func:`_family_masks`, screen first, each answer kept.
+    It stands in for ``Family.edge_set`` when the family is not built."""
+
+    def __init__(self, screen: list[int], full: list[int], e: int) -> None:
+        self._screen, self._full, self._e = screen, full, e
+        self._known: dict[tuple[int, ...], bool] = {}
+
+    def __contains__(self, items: tuple[int, ...]) -> bool:
+        known = self._known.get(items)
+        if known is None:
+            e = self._e
+            known = _common_rows(self._screen, items).bit_count() <= e and (
+                self._screen is self._full
+                or _common_rows(self._full, items).bit_count() <= e
+            )
+            self._known[items] = known
+        return known
 
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
@@ -239,7 +267,8 @@ def w_bound(s_size: int, ell: int, u: int, g: int) -> int:
 
 
 def _first_u_complete_extension(
-    family: Family,
+    edge_set: Container[tuple[int, ...]],
+    u: int,
     current: frozenset,
     pool: tuple[int, ...],
     g: int,
@@ -250,14 +279,16 @@ def _first_u_complete_extension(
     ``A`` runs over ``(g + 1)``-subsets of ``pool`` (sorted items outside
     the current set ``S``), ``B`` over ``g``-subsets of ``S``, both in
     lexicographic order with ``A`` outermost.  ``S`` must be u-complete.
+    ``edge_set`` answers ``T in edge_set`` for sorted ``u``-tuples ``T``.
 
     Since ``S`` is u-complete, every non-edge ``u``-subset ``T`` of
     ``S ∪ A`` meets ``A``, and the candidate is u-complete iff ``B`` hits
     ``T ∩ S`` for every such ``T``: a hitting-set condition that splits by
     the part ``T ∩ A``.  A pool item ``x`` whose own non-edges
     ``{x} ∪ (u - 1)-subset of S`` no ``B`` can hit enters no ``A``, and an
-    ``A`` prefix that no ``B`` can serve ends its branch.  For each surviving ``A`` the allowed ``B`` are one bitmask over
-    the ``B`` in lexicographic order, so its lowest bit is the first ``B``.
+    ``A`` prefix that no ``B`` can serve ends its branch.  For each
+    surviving ``A`` the allowed ``B`` are one bitmask over the ``B`` in
+    lexicographic order, so its lowest bit is the first ``B``.
     Each item's own mask is computed when the search first reaches it, so
     the search stops at the first ``A`` that passes; for ``g = 0`` that is
     the first ``x`` with ``S ∪ {x}`` u-complete.  ``step_cap`` bounds the
@@ -271,7 +302,6 @@ def _first_u_complete_extension(
         raise FeasibilityError(
             f"extension step would check {work} candidate pairs > cap {step_cap}"
         )
-    u, edge_set = family.u, family.edge_set
     cur_sorted = tuple(sorted(current))
     b_sets = tuple(combinations(cur_sorted, g))
     holders = dict.fromkeys(cur_sorted, 0)  # bit i of holders[j]: b_sets[i] holds j
@@ -320,7 +350,10 @@ def _first_u_complete_extension(
                 return found
         return None
 
-    found = search((), 0, every_b)
+    try:
+        found = search((), 0, every_b)
+    finally:
+        del search  # it refers to itself through its cell: leave no cycle behind
     if found is None:
         return None
     a, mask = found
@@ -329,14 +362,21 @@ def _first_u_complete_extension(
 
 
 def _swap_extend(
-    family: Family, universe: tuple[int, ...], d: int, g: int, step_cap: int
+    first_edge: tuple[int, ...],
+    edge_set: Container[tuple[int, ...]],
+    universe: tuple[int, ...],
+    d: int,
+    g: int,
+    step_cap: int,
 ) -> frozenset:
     """Algorithm 1's extension inside ``universe``: start from the first
-    edge and take the first u-complete swap until ``d`` items or none."""
-    current = frozenset(family.edges[0])
+    edge and take the first u-complete swap until ``d`` items or none.
+    ``edge_set`` holds every edge inside ``universe``."""
+    u = len(first_edge)
+    current = frozenset(first_edge)
     while len(current) < d:
         pool = tuple(j for j in universe if j not in current)
-        nxt = _first_u_complete_extension(family, current, pool, g, step_cap)
+        nxt = _first_u_complete_extension(edge_set, u, current, pool, g, step_cap)
         if nxt is None:
             break
         current = nxt
@@ -396,23 +436,45 @@ def _announce(params: TGTParams, algorithm: int) -> None:
         )
 
 
+def _underdetermined(params: TGTParams, algorithm: int) -> DecodeResult:
+    """The result when no edge exists: nothing recovered."""
+    fp, fn = _envelope(algorithm, params, params.d)
+    return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
+
+
+def _decode_alg1(
+    first_edge: Optional[tuple[int, ...]],
+    edge_set: Container[tuple[int, ...]],
+    params: TGTParams,
+    step_cap: int,
+) -> DecodeResult:
+    """Algorithm 1 from the family's first edge (None if it has none) and
+    its membership test; it needs nothing else of the family."""
+    if first_edge is None:
+        return _underdetermined(params, 1)
+    g = params.g
+    universe = tuple(range(1, params.n + 1))
+    found = _swap_extend(first_edge, edge_set, universe, params.d, g, step_cap)
+    return DecodeResult(ItemSet.of(found), 1, g, g)
+
+
 def _decode_family(
     family: Family, params: TGTParams, algorithm: int, step_cap: int
 ) -> DecodeResult:
-    fp, fn = _envelope(algorithm, params, params.d)
-    if not family.edges:
-        return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
-    g = params.g
     if algorithm == 1:
-        universe = tuple(range(1, params.n + 1))
-        found = _swap_extend(family, universe, params.d, g, step_cap)
-    else:
-        found = _greedy_union(family, g)
-        if algorithm == 3:
-            vertices = tuple(sorted(found))
-            found = _swap_extend(
-                _restricted_family(family, vertices), vertices, params.d, g, step_cap
-            )
+        first_edge = family.edges[0] if family.edges else None
+        return _decode_alg1(first_edge, family.edge_set, params, step_cap)
+    if not family.edges:
+        return _underdetermined(params, algorithm)
+    g = params.g
+    found = _greedy_union(family, g)
+    if algorithm == 3:
+        vertices = tuple(sorted(found))
+        inner = _restricted_family(family, vertices)
+        found = _swap_extend(
+            inner.edges[0], inner.edge_set, vertices, params.d, g, step_cap
+        )
+    fp, fn = _envelope(algorithm, params, params.d)
     return DecodeResult(ItemSet.of(found), algorithm, fp, fn)
 
 
@@ -444,25 +506,36 @@ def decode(
     subset_cap: int = FAMILY_SUBSET_CAP,
     step_cap: int = EXTENSION_STEP_CAP,
 ) -> DecodeResult:
-    """:func:`build_family`, then :func:`decode_from_family`.
+    """Decode ``outcome``: the same result as :func:`build_family`, then
+    :func:`decode_from_family`, with the same errors.
 
     Algorithm 1 is the swap extension; on a verified matrix with at most
     ``e`` errors it has at most ``g`` false positives and ``g`` false
-    negatives.  Algorithm 2 is the greedy union: phase A unions disjoint
-    edges, phase B unions edges contributing at least ``g + 1`` new items,
-    each phase one lexicographic pass over the family.  Its reported
-    false-positive cap uses ``|S| = d`` (the decoder cannot see the true
-    size; checks against a known truth should use :func:`w_bound` at the
-    actual ``|S|``, as :func:`check_envelope` does).  Algorithm 3 runs
-    algorithm 2 and then the swap extension on the family restricted to
-    its output; envelope ``(g, 2g)``.  ``step_cap`` bounds each extension
-    step and so only matters to algorithms 1 and 3.
+    negatives.  It needs only the family's first edge and a test of
+    whether a ``u``-subset is an edge, so it does not build the family:
+    it searches for the first edge, and tests ``t0 <= e`` for each subset
+    the extension asks about, once per subset.  ``subset_cap`` still
+    counts all ``C(n, u)`` subsets.  Algorithm 2 is the greedy union:
+    phase A unions disjoint edges, phase B unions edges contributing at
+    least ``g + 1`` new items, each phase one lexicographic pass over the
+    family.  Its reported false-positive cap uses ``|S| = d`` (the decoder
+    cannot see the true size; checks against a known truth should use
+    :func:`w_bound` at the actual ``|S|``, as :func:`check_envelope` does).
+    Algorithm 3 runs algorithm 2 and then the swap extension on the family
+    restricted to its output; envelope ``(g, 2g)``.  Algorithms 2 and 3
+    build the family.  ``step_cap`` bounds each extension step and so only
+    matters to algorithms 1 and 3.
     """
     _require_int("subset_cap", subset_cap)
     _require_int("step_cap", step_cap)
     _announce(params, algorithm)
-    family = build_family(matrix, outcome, params.u, params.e, subset_cap)
-    return _decode_family(family, params, algorithm, step_cap)
+    u, e = params.u, params.e
+    if algorithm != 1:
+        family = build_family(matrix, outcome, u, e, subset_cap)
+        return _decode_family(family, params, algorithm, step_cap)
+    screen, full = _family_masks(matrix, outcome, u, e, subset_cap)
+    first_edge = next(_edges(screen, full, u, e), None)
+    return _decode_alg1(first_edge, _EdgeTest(screen, full, e), params, step_cap)
 
 
 @dataclass(frozen=True)

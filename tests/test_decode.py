@@ -19,6 +19,7 @@ from tgtkit import (
     FeasibilityError,
     GapPolicy,
     ItemSet,
+    NoiseSpec,
     OutcomeVector,
     TGTParams,
     ValidationError,
@@ -34,8 +35,12 @@ from tgtkit import (
 )
 from tgtkit.decode import (
     _SCREEN_ROWS,
+    ALGORITHMS,
     EXTENSION_STEP_CAP,
+    FAMILY_SUBSET_CAP,
     Family,
+    _edges,
+    _family_masks,
     _first_u_complete_extension,
     _greedy_union,
     _restricted_family,
@@ -56,7 +61,8 @@ def _build_family_reference(matrix, outcome, u, e):
 
 
 def _first_u_complete_extension_reference(
-    family: Family,
+    edge_set,
+    u: int,
     current: frozenset,
     pool: tuple[int, ...],
     g: int,
@@ -76,7 +82,7 @@ def _first_u_complete_extension_reference(
         grown = current | set(a)
         for b in combinations(cur_sorted, g):
             candidate = grown - set(b)
-            if is_u_complete(family, candidate):
+            if all(t in edge_set for t in combinations(sorted(candidate), u)):
                 return frozenset(candidate)
     return None
 
@@ -486,7 +492,7 @@ def test_swap_extension_matches_reference(n, u, g, d_offset, rate, step_cap, see
     )
 
     def swap():
-        return _swap_extend(family, universe, d, g, step_cap)
+        return _swap_extend(edges[0], family.edge_set, universe, d, g, step_cap)
 
     found = _outcome_or_error(swap)
     with oracle:
@@ -519,13 +525,121 @@ def test_swap_extension_matches_reference(n, u, g, d_offset, rate, step_cap, see
     current = frozenset(current)
     pool = tuple(j for j in universe if j not in current)
     step = _outcome_or_error(
-        lambda: _first_u_complete_extension(family, current, pool, g, step_cap)
+        lambda: _first_u_complete_extension(family.edge_set, u, current, pool, g, step_cap)
     )
     assert step == _outcome_or_error(
-        lambda: _first_u_complete_extension_reference(family, current, pool, g, step_cap)
+        lambda: _first_u_complete_extension_reference(
+            family.edge_set, u, current, pool, g, step_cap
+        )
     )
     if isinstance(step, frozenset):
         assert len(step) == len(current) + 1 and is_u_complete(family, step)
+
+
+_POLICIES = {
+    "positive": lambda seed: GapPolicy.always_positive(),
+    "negative": lambda seed: GapPolicy.always_negative(),
+    "bernoulli": lambda seed: GapPolicy.bernoulli(0.5, seed=seed),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.sampled_from((1, _SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1, 1100)),
+    n=st.integers(4, 9),
+    u=st.integers(1, 3),
+    d_offset=st.integers(0, 8),
+    z=st.sampled_from((1, 3, 5)),  # e = 0, 1, 2
+    density=st.sampled_from((0.2, 0.4, 0.7, 1.0)),
+    empty_head=st.sampled_from((0, _SCREEN_ROWS // 2, _SCREEN_ROWS)),
+    policy=st.sampled_from(sorted(_POLICIES)),
+    flips=st.integers(0, 3),
+    subset_cap=st.one_of(st.just(FAMILY_SUBSET_CAP), st.integers(1, 90)),
+    step_cap=st.one_of(st.just(EXTENSION_STEP_CAP), st.integers(1, 60)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# an all-ones design with nothing defective: every subset is pooled in
+# more than e negative rows, so there is no edge (screened and unscreened)
+@example(t=1100, n=6, u=2, d_offset=0, z=3, density=1.0, empty_head=0,
+         policy="negative", flips=0, subset_cap=FAMILY_SUBSET_CAP,
+         step_cap=EXTENSION_STEP_CAP, seed=0)
+@example(t=1, n=5, u=2, d_offset=0, z=1, density=1.0, empty_head=0,
+         policy="negative", flips=0, subset_cap=FAMILY_SUBSET_CAP,
+         step_cap=EXTENSION_STEP_CAP, seed=0)
+def test_alg1_without_the_family_matches_the_family(
+    t, n, u, d_offset, z, density, empty_head, policy, flips, subset_cap, step_cap, seed
+):
+    # decode builds no family for algorithm 1; it returns what decoding
+    # build_family's family returns, or raises the same error.  Rows before
+    # empty_head pool nothing, so with it at the screen's size every
+    # subset passes the screen and only the full masks decide.
+    rng = random.Random(seed)
+    d = u + d_offset % (n - u)
+    params = TGTParams(n=n, d=d, ell=rng.randrange(u), u=u, z=z)
+    matrix = BinaryMatrix.from_bits(
+        [
+            [int(i >= empty_head and rng.random() < density) for _ in range(n)]
+            for i in range(t)
+        ]
+    )
+    # on the all-ones design, no defectives: an outcome with no edge
+    size = rng.randint(0, d) if density < 1.0 else 0
+    outcome = encode(
+        matrix,
+        ItemSet.of(rng.sample(range(1, n + 1), size)),
+        params.ell,
+        u,
+        _POLICIES[policy](rng.randrange(2**32)),
+        NoiseSpec.random_flips(min(flips, t), seed=rng.randrange(2**32)),
+    )
+
+    def implicit():
+        return decode(outcome, matrix, params, 1, subset_cap, step_cap)
+
+    def explicit():
+        family = build_family(matrix, outcome, u, params.e, subset_cap)
+        return decode_from_family(family, params, 1, step_cap)
+
+    result = _outcome_or_error(implicit)
+    assert result == _outcome_or_error(explicit)
+    if subset_cap >= math.comb(n, u):
+        family = build_family(matrix, outcome, u, params.e)
+        screen, full = _family_masks(matrix, outcome, u, params.e, subset_cap)
+        first = next(_edges(screen, full, u, params.e), None)
+        assert first == (family.edges[0] if family.edges else None)
+        assert getattr(result, "underdetermined", False) == (first is None)
+
+
+def test_alg1_does_not_build_the_family(golden_matrix, golden_outcome, golden_params):
+    expected = decode_from_family(
+        build_family(golden_matrix, golden_outcome, 2, 0), golden_params, 1
+    )
+    built = AssertionError("build_family called")
+    with mock.patch("tgtkit.decode.build_family", side_effect=built):
+        assert decode(golden_outcome, golden_matrix, golden_params, 1) == expected
+        with pytest.raises(AssertionError, match="build_family called"):
+            decode(golden_outcome, golden_matrix, golden_params, 2)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_decoding_leaves_no_reference_cycles(algorithm):
+    # the extension's recursive search is a closure over itself; left as a
+    # cycle it would hold the family or the masks until the next collection
+    rng = random.Random(7)
+    matrix = BinaryMatrix(1100, 12, tuple(rng.getrandbits(12) for _ in range(1100)))
+    outcome = OutcomeVector.from_bits(
+        tuple(int(rng.random() < 0.99) for _ in range(matrix.rows))
+    )
+    params = TGTParams(12, 5, 0, 3, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        result = decode(outcome, matrix, params, algorithm)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # each decoder grew its output past the first edge
+    assert len(result.recovered) >= params.d
 
 
 def test_step_cap_counts_unpruned_pairs():
