@@ -16,18 +16,18 @@ and in the false-positive/false-negative envelope they guarantee:
 * algorithm 2: greedily union disjoint edges, then any edges bringing at
   least ``g + 1`` new items; envelope
   ``((floor(|S| / (ell + 1)) + u - 1) * g, g)``.
-* algorithm 3: run algorithm 2, filter the family down to the edges inside
-  its output (exactly the ``u``-subsets of that vertex set with
-  ``t0 <= e``), then run the algorithm-1 extension inside it; envelope
-  ``(g, 2g)``.
+* algorithm 3: run algorithm 2, then the algorithm-1 extension inside its
+  output; envelope ``(g, 2g)``.
 
-Each decoder is a function of the edge family alone, and
-:func:`decode_from_family` runs any of the three on a family already
-built.  :func:`decode` builds the family once for algorithms 2 and 3.
-Algorithm 1 needs only the first edge and a test of "is ``T`` an edge?",
-so :func:`decode` does not build the family for it: the enumeration that
-builds the family stops at its first edge, and the extension tests
-``t0(T) <= e`` for each ``u``-subset ``T`` it asks about, once each.
+Each decoder is a function of the edge family alone: one core runs all
+three on the edges in lexicographic order and a test of "is ``T`` an
+edge?".  :func:`decode_from_family` gives it a family already built.
+:func:`decode` builds none: it gives the enumeration that would build one,
+read only as far as the decoder reads (algorithm 1 reads the first edge),
+and tests ``t0(T) <= e`` for each ``u``-subset ``T`` asked about, once.
+Algorithm 3's extension needs no restricted family: algorithm 2's output
+holds the first edge, so that is the first edge inside it, and every
+subset the extension asks about lies inside it.
 
 The swap extension of algorithms 1 and 3 is a pruned search.  Its current
 set ``S`` is always u-complete (it starts as an edge, and each step returns
@@ -383,26 +383,18 @@ def _swap_extend(
     return current
 
 
-def _greedy_union(family: Family, g: int) -> set[int]:
-    """Algorithm 2's output on a non-empty family (see :func:`decode`).
+def _greedy_union(edges: tuple[tuple[int, ...], ...], g: int) -> set[int]:
+    """Algorithm 2's output on a non-empty family's edges (see :func:`decode`).
     ``current`` only grows, so a skipped edge stays skipped and a picked
     edge adds nothing later: one pass per phase equals rescanning."""
-    current = set(family.edges[0])
-    for edge in family.edges:  # phase A: disjoint edges
+    current = set(edges[0])
+    for edge in edges:  # phase A: disjoint edges
         if current.isdisjoint(edge):
             current.update(edge)
-    for edge in family.edges:  # phase B: edges adding >= g + 1 new items
+    for edge in edges:  # phase B: edges adding >= g + 1 new items
         if len(set(edge) - current) >= g + 1:
             current.update(edge)
     return current
-
-
-def _restricted_family(family: Family, vertices: Iterable[int]) -> Family:
-    """The edges inside ``vertices``.  These are exactly the ``u``-subsets
-    of ``vertices`` with ``t0 <= e``, by the definition of an edge."""
-    inside = frozenset(vertices)
-    edges = tuple(edge for edge in family.edges if inside.issuperset(edge))
-    return Family._of_valid_edges(family.u, edges)
 
 
 def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]:
@@ -442,38 +434,26 @@ def _underdetermined(params: TGTParams, algorithm: int) -> DecodeResult:
     return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
 
 
-def _decode_alg1(
-    first_edge: Optional[tuple[int, ...]],
-    edge_set: Container[tuple[int, ...]],
+def _decode(
+    edges: Iterator[tuple[int, ...]],
+    edge_test: Container[tuple[int, ...]],
     params: TGTParams,
+    algorithm: int,
     step_cap: int,
 ) -> DecodeResult:
-    """Algorithm 1 from the family's first edge (None if it has none) and
-    its membership test; it needs nothing else of the family."""
-    if first_edge is None:
-        return _underdetermined(params, 1)
-    g = params.g
-    universe = tuple(range(1, params.n + 1))
-    found = _swap_extend(first_edge, edge_set, universe, params.d, g, step_cap)
-    return DecodeResult(ItemSet.of(found), 1, g, g)
-
-
-def _decode_family(
-    family: Family, params: TGTParams, algorithm: int, step_cap: int
-) -> DecodeResult:
-    if algorithm == 1:
-        first_edge = family.edges[0] if family.edges else None
-        return _decode_alg1(first_edge, family.edge_set, params, step_cap)
-    if not family.edges:
+    """Run a checked algorithm on the family's edges, drawn in
+    lexicographic order as far as it reads them, and ``edge_test``, which
+    answers ``T in edge_test`` for sorted ``u``-tuples ``T``."""
+    first = next(edges, None)
+    if first is None:
         return _underdetermined(params, algorithm)
     g = params.g
-    found = _greedy_union(family, g)
-    if algorithm == 3:
-        vertices = tuple(sorted(found))
-        inner = _restricted_family(family, vertices)
-        found = _swap_extend(
-            inner.edges[0], inner.edge_set, vertices, params.d, g, step_cap
-        )
+    if algorithm == 1:
+        found = universe = tuple(range(1, params.n + 1))
+    else:  # algorithm 2's output: it holds ``first``, its own first edge
+        found = universe = tuple(sorted(_greedy_union((first, *edges), g)))
+    if algorithm != 2:
+        found = _swap_extend(first, edge_test, universe, params.d, g, step_cap)
     fp, fn = _envelope(algorithm, params, params.d)
     return DecodeResult(ItemSet.of(found), algorithm, fp, fn)
 
@@ -495,7 +475,7 @@ def decode_from_family(
     if (top := max((edge[-1] for edge in family.edges), default=0)) > params.n:
         raise ValidationError(f"family has item {top} outside 1..{params.n}")
     _announce(params, algorithm)
-    return _decode_family(family, params, algorithm, step_cap)
+    return _decode(iter(family.edges), family.edge_set, params, algorithm, step_cap)
 
 
 def decode(
@@ -507,35 +487,37 @@ def decode(
     step_cap: int = EXTENSION_STEP_CAP,
 ) -> DecodeResult:
     """Decode ``outcome``: the same result as :func:`build_family`, then
-    :func:`decode_from_family`, with the same errors.
+    :func:`decode_from_family`, with the same errors.  ``matrix`` must
+    have ``params.n`` columns.
 
     Algorithm 1 is the swap extension; on a verified matrix with at most
     ``e`` errors it has at most ``g`` false positives and ``g`` false
-    negatives.  It needs only the family's first edge and a test of
-    whether a ``u``-subset is an edge, so it does not build the family:
-    it searches for the first edge, and tests ``t0 <= e`` for each subset
-    the extension asks about, once per subset.  ``subset_cap`` still
-    counts all ``C(n, u)`` subsets.  Algorithm 2 is the greedy union:
-    phase A unions disjoint edges, phase B unions edges contributing at
-    least ``g + 1`` new items, each phase one lexicographic pass over the
-    family.  Its reported false-positive cap uses ``|S| = d`` (the decoder
-    cannot see the true size; checks against a known truth should use
-    :func:`w_bound` at the actual ``|S|``, as :func:`check_envelope` does).
-    Algorithm 3 runs algorithm 2 and then the swap extension on the family
-    restricted to its output; envelope ``(g, 2g)``.  Algorithms 2 and 3
-    build the family.  ``step_cap`` bounds each extension step and so only
-    matters to algorithms 1 and 3.
+    negatives.  Algorithm 2 is the greedy union: phase A unions disjoint
+    edges, phase B unions edges contributing at least ``g + 1`` new items,
+    each phase one lexicographic pass over the family.  Its reported
+    false-positive cap uses ``|S| = d`` (the decoder cannot see the true
+    size; checks against a known truth should use :func:`w_bound` at the
+    actual ``|S|``, as :func:`check_envelope` does).  Algorithm 3 runs
+    algorithm 2 and then the swap extension inside its output; envelope
+    ``(g, 2g)``.
+
+    No algorithm builds the family: each reads the enumeration that would
+    build it (algorithm 1 only up to the first edge), and the extension
+    tests ``t0 <= e`` for each subset it asks about, once per subset.
+    ``subset_cap`` still counts all ``C(n, u)`` subsets.  ``step_cap``
+    bounds each extension step and so only matters to algorithms 1 and 3.
     """
     _require_int("subset_cap", subset_cap)
     _require_int("step_cap", step_cap)
+    if matrix.cols != params.n:
+        raise ValidationError(
+            f"matrix has {matrix.cols} columns but params say n={params.n}"
+        )
     _announce(params, algorithm)
     u, e = params.u, params.e
-    if algorithm != 1:
-        family = build_family(matrix, outcome, u, e, subset_cap)
-        return _decode_family(family, params, algorithm, step_cap)
     screen, full = _family_masks(matrix, outcome, u, e, subset_cap)
-    first_edge = next(_edges(screen, full, u, e), None)
-    return _decode_alg1(first_edge, _EdgeTest(screen, full, e), params, step_cap)
+    edges = _edges(screen, full, u, e)
+    return _decode(edges, _EdgeTest(screen, full, e), params, algorithm, step_cap)
 
 
 @dataclass(frozen=True)

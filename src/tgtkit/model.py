@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping
 
 from .errors import ValidationError
@@ -106,6 +107,8 @@ class GapPolicy:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown gap policy {self.kind!r}")
+        if not isinstance(self.p, Real) or isinstance(self.p, bool):
+            raise ValidationError(f"bernoulli p must be a real number, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"bernoulli p must be in [0, 1], got {self.p}")
         for row, bit in self.overrides:
@@ -153,6 +156,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown noise spec {self.kind!r}")
+        if not isinstance(self.count, int) or isinstance(self.count, bool):
+            raise ValidationError(f"flip count must be an integer, got {self.count!r}")
         if self.count < 0:
             raise ValidationError("flip count must be non-negative")
         if bad := [row for row in self.rows if not isinstance(row, int)]:

@@ -43,7 +43,6 @@ from tgtkit.decode import (
     _family_masks,
     _first_u_complete_extension,
     _greedy_union,
-    _restricted_family,
     _swap_extend,
 )
 
@@ -223,14 +222,13 @@ class TestFamilyRules:
 
         monkeypatch.setattr(Family, "__post_init__", counting_post_init)
         fam = build_family(golden_matrix, golden_outcome, 2, 1)
-        inner = _restricted_family(fam, (1, 2, 3, 5))
         for alg in (1, 2, 3):
             decode(golden_outcome, golden_matrix, golden_params, alg)
+            decode_from_family(fam, golden_params, alg)
         assert checked == []
-        for family in (fam, inner):
-            assert family == Family(family.u, family.edges)
-            assert family.edge_set == frozenset(family.edges)
-        assert len(checked) == 2
+        assert fam == Family(fam.u, fam.edges)
+        assert fam.edge_set == frozenset(fam.edges)
+        assert len(checked) == 1
 
 
 class TestUComplete:
@@ -272,36 +270,21 @@ class TestGoldenDecodes:
         assert result.envelope == (1, 2)
 
     def test_alg3_restricted_family(self, golden_matrix, golden_outcome, golden_params):
-        # the refinement stage filters the family to the greedy stage's
-        # vertex set {1,2,3,5}; that equals a rescan of t0 over the vertex
-        # set's pairs, the known 5-edge restriction
+        # the refinement stage extends inside the greedy stage's vertex set
+        # {1,2,3,5}; the family restricted to it, a rescan of t0 over its
+        # pairs, is the known 5-edge restriction, and extending on it gives
+        # the refinement's output
         vertices = decode(
             golden_outcome, golden_matrix, golden_params, 2
         ).recovered.members
-        rescan = tuple(
-            pair
-            for pair in combinations(vertices, 2)
-            if t0(golden_matrix, golden_outcome, ItemSet.of(pair)) == 0
+        rescan = _restricted_rescan(golden_matrix, golden_outcome, vertices, 2, 0)
+        assert rescan.edges == ((1, 2), (1, 5), (2, 3), (2, 5), (3, 5))
+        d, g = golden_params.d, golden_params.g
+        found = _swap_extend(
+            rescan.edges[0], rescan.edge_set, vertices, d, g, EXTENSION_STEP_CAP
         )
-        assert rescan == ((1, 2), (1, 5), (2, 3), (2, 5), (3, 5))
-        fam = build_family(golden_matrix, golden_outcome, 2, 0)
-        assert _restricted_family(fam, vertices).edges == rescan
-
-    def test_restriction_equals_rescan_on_every_vertex_set(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            matrix = BinaryMatrix(40, 8, tuple(rng.getrandbits(8) for _ in range(40)))
-            outcome = OutcomeVector.from_bits(tuple(rng.randint(0, 1) for _ in range(40)))
-            for u, e in ((2, 0), (2, 1), (3, 1)):
-                fam = build_family(matrix, outcome, u, e)
-                for size in range(u, 9):
-                    for vertices in combinations(range(1, 9), size):
-                        rescan = tuple(
-                            combo
-                            for combo in combinations(vertices, u)
-                            if t0(matrix, outcome, ItemSet(combo)) <= e
-                        )
-                        assert _restricted_family(fam, vertices).edges == rescan
+        refined = decode(golden_outcome, golden_matrix, golden_params, 3)
+        assert refined.recovered == ItemSet.of(found)
 
     def test_decode_from_family(self, golden_matrix, golden_outcome, golden_params):
         fam = build_family(golden_matrix, golden_outcome, 2, 0)
@@ -421,6 +404,45 @@ class TestTinySweep:
         assert set(refined) <= set(v)
 
 
+def _restricted_rescan(matrix, outcome, vertices, u, e):
+    """The family restricted to ``vertices``, rescanned from ``t0``: the
+    oracle for the family algorithm 3 extends in."""
+    return Family(u, tuple(
+        combo for combo in combinations(vertices, u)
+        if t0(matrix, outcome, ItemSet(combo)) <= e
+    ))
+
+
+@pytest.mark.parametrize("ell, u, z", [(0, 2, 1), (0, 2, 3), (1, 3, 3), (0, 3, 1)])
+def test_alg3_extends_on_the_restricted_rescan(ell, u, z):
+    # algorithm 3 extends inside algorithm 2's output with the whole
+    # family's edge test; extending on the restricted family instead,
+    # rescanned from t0 and starting at its first edge, gives the same set
+    rng = random.Random(11)
+    grown = 0
+    for _ in range(60):
+        n = rng.randint(u + 2, 10)
+        positive = rng.choice((0.5, 0.8, 0.95))
+        matrix = BinaryMatrix(40, n, tuple(rng.getrandbits(n) for _ in range(40)))
+        outcome = OutcomeVector.from_bits(
+            tuple(int(rng.random() < positive) for _ in range(40))
+        )
+        params = TGTParams(n, rng.randint(u, n - 1), ell, u, z)
+        greedy = decode(outcome, matrix, params, 2)
+        result = decode(outcome, matrix, params, 3)
+        assert result.underdetermined == greedy.underdetermined
+        if greedy.underdetermined:
+            continue
+        vertices = greedy.recovered.members
+        inner = _restricted_rescan(matrix, outcome, vertices, u, params.e)
+        found = _swap_extend(
+            inner.edges[0], inner.edge_set, vertices, params.d, params.g, EXTENSION_STEP_CAP
+        )
+        assert result.recovered == ItemSet.of(found)
+        grown += len(found) > u
+    assert grown >= 10  # the extension took steps, not just its first edge
+
+
 def _greedy_union_rescan(family, g):
     """Algorithm 2 rescanning from the first unused edge after every pick:
     the oracle for the one-pass ``_greedy_union``."""
@@ -454,7 +476,7 @@ def test_greedy_union_matches_rescan(n, u, g, rate, seed):
     )
     if edges:
         family = Family(min(u, n), edges)
-        assert _greedy_union(family, g) == _greedy_union_rescan(family, g)
+        assert _greedy_union(family.edges, g) == _greedy_union_rescan(family, g)
 
 
 def _outcome_or_error(run):
@@ -566,13 +588,14 @@ _POLICIES = {
 @example(t=1, n=5, u=2, d_offset=0, z=1, density=1.0, empty_head=0,
          policy="negative", flips=0, subset_cap=FAMILY_SUBSET_CAP,
          step_cap=EXTENSION_STEP_CAP, seed=0)
-def test_alg1_without_the_family_matches_the_family(
+def test_decode_without_the_family_matches_the_family(
     t, n, u, d_offset, z, density, empty_head, policy, flips, subset_cap, step_cap, seed
 ):
-    # decode builds no family for algorithm 1; it returns what decoding
-    # build_family's family returns, or raises the same error.  Rows before
-    # empty_head pool nothing, so with it at the screen's size every
-    # subset passes the screen and only the full masks decide.
+    # decode builds no family; for every algorithm it returns what decoding
+    # build_family's family returns, or raises the same error, after the
+    # same warnings.  Rows before empty_head pool nothing, so with it at the
+    # screen's size every subset passes the screen and only the full masks
+    # decide.
     rng = random.Random(seed)
     d = u + d_offset % (n - u)
     params = TGTParams(n=n, d=d, ell=rng.randrange(u), u=u, z=z)
@@ -593,32 +616,68 @@ def test_alg1_without_the_family_matches_the_family(
         NoiseSpec.random_flips(min(flips, t), seed=rng.randrange(2**32)),
     )
 
-    def implicit():
-        return decode(outcome, matrix, params, 1, subset_cap, step_cap)
+    def warned(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            found = _outcome_or_error(run)
+        return found, [str(w.message) for w in caught]
 
-    def explicit():
-        family = build_family(matrix, outcome, u, params.e, subset_cap)
-        return decode_from_family(family, params, 1, step_cap)
-
-    result = _outcome_or_error(implicit)
-    assert result == _outcome_or_error(explicit)
+    family = _outcome_or_error(lambda: build_family(matrix, outcome, u, params.e, subset_cap))
+    results = []
+    for algorithm in ALGORITHMS:
+        result, notices = warned(
+            lambda: decode(outcome, matrix, params, algorithm, subset_cap, step_cap)
+        )
+        if isinstance(family, tuple):  # build_family refused, before any notice
+            assert result == family
+        else:
+            assert (result, notices) == warned(
+                lambda: decode_from_family(family, params, algorithm, step_cap)
+            )
+        results.append(result)
     if subset_cap >= math.comb(n, u):
         family = build_family(matrix, outcome, u, params.e)
         screen, full = _family_masks(matrix, outcome, u, params.e, subset_cap)
         first = next(_edges(screen, full, u, params.e), None)
         assert first == (family.edges[0] if family.edges else None)
-        assert getattr(result, "underdetermined", False) == (first is None)
+        for result in results:
+            assert getattr(result, "underdetermined", False) == (first is None)
 
 
-def test_alg1_does_not_build_the_family(golden_matrix, golden_outcome, golden_params):
-    expected = decode_from_family(
-        build_family(golden_matrix, golden_outcome, 2, 0), golden_params, 1
-    )
-    built = AssertionError("build_family called")
-    with mock.patch("tgtkit.decode.build_family", side_effect=built):
-        assert decode(golden_outcome, golden_matrix, golden_params, 1) == expected
-        with pytest.raises(AssertionError, match="build_family called"):
-            decode(golden_outcome, golden_matrix, golden_params, 2)
+def test_decode_does_not_build_the_family(golden_matrix, golden_outcome, golden_params):
+    family = build_family(golden_matrix, golden_outcome, 2, 0)
+    expected = [decode_from_family(family, golden_params, alg) for alg in ALGORITHMS]
+    built = AssertionError("a family was built")
+    with mock.patch("tgtkit.decode.build_family", side_effect=built), mock.patch.object(
+        Family, "_of_valid_edges", side_effect=built
+    ):
+        assert [
+            decode(golden_outcome, golden_matrix, golden_params, alg) for alg in ALGORITHMS
+        ] == expected
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("n", (4, 7))
+def test_decode_rejects_params_for_another_item_count(n, algorithm):
+    # a 5-item design whose family is ((2, 4), (3, 4), (3, 5), (4, 5)):
+    # with n = 7 the extension would test items 6 and 7, which have no
+    # column; with n = 4 the greedy union would return item 5
+    matrix = BinaryMatrix.from_bits([
+        [1, 1, 1, 0, 0],
+        [1, 0, 0, 1, 0],
+        [1, 0, 0, 0, 1],
+        [0, 1, 0, 0, 1],
+        [0, 0, 0, 1, 1],
+        [0, 0, 1, 0, 0],
+    ])
+    outcome = OutcomeVector.from_bits((0, 0, 0, 0, 1, 1))
+    family = build_family(matrix, outcome, 2, 0)
+    assert family.edges == ((2, 4), (3, 4), (3, 5), (4, 5))
+    params = TGTParams(n, n - 1, 0, 2, 1)
+    with pytest.raises(
+        ValidationError, match=rf"^matrix has 5 columns but params say n={n}$"
+    ):
+        decode(outcome, matrix, params, algorithm)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

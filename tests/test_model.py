@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,29 @@ class TestSettingsBuilders:
         with pytest.raises(ValidationError, match=message):
             encode(m, ItemSet.of([1, 2]), 0, 2, GapPolicy.always_negative(),
                    NoiseSpec.flip_rows([2.0]))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: GapPolicy("bernoulli", p="0.5"),
+             "bernoulli p must be a real number, got '0.5'"),
+            (lambda: GapPolicy.bernoulli(True), "bernoulli p must be a real number, got True"),
+            (lambda: NoiseSpec.random_flips(2.5), "flip count must be an integer, got 2.5"),
+            (lambda: NoiseSpec.random_flips(True), "flip count must be an integer, got True"),
+            (lambda: NoiseSpec("none", count="1"), "flip count must be an integer, got '1'"),
+        ],
+    )
+    def test_setting_of_the_wrong_type_is_rejected_with_the_spec(self, make, message):
+        # each would otherwise pass here and fail in encode, or flip a bool's one row
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_numeric_settings_of_any_real_type_are_kept(self, golden_matrix):
+        assert GapPolicy.bernoulli(1).p == 1
+        assert GapPolicy.bernoulli(Fraction(1, 2), seed=3) == GapPolicy.bernoulli(0.5, seed=3)
+        flipped = encode(golden_matrix, ItemSet.of([]), 0, 2, GapPolicy.always_negative(),
+                         NoiseSpec.random_flips(2, seed=1))
+        assert sum(flipped.bits) == 2
 
 
 class TestCheckConsistency:
