@@ -24,7 +24,7 @@ three on the edges in lexicographic order and a test of "is ``T`` an
 edge?".  :func:`decode_from_family` gives it a family already built.
 :func:`decode` builds none: it gives the enumeration that would build one,
 read only as far as the decoder reads (algorithm 1 reads the first edge),
-and tests ``t0(T) <= e`` for each ``u``-subset ``T`` asked about, once.
+and answers the extension's questions from the column masks.
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
 subset the extension asks about lies inside it.
@@ -33,12 +33,18 @@ The swap extension of algorithms 1 and 3 is a pruned search.  Its current
 set ``S`` is always u-complete (it starts as an edge, and each step returns
 a u-complete set), so for a fixed ``A`` every non-edge ``u``-subset ``T``
 of ``S ∪ A`` meets ``A``, and ``(S ∪ A) \\ B`` is u-complete iff ``B``
-hits ``T ∩ S`` for every such ``T``.  A non-edge inside ``A`` rules out
-``A`` whatever ``B`` is, and a pool item that no ``g``-subset of ``S`` can
-serve on its own enters no ``A``.  The result is the same lexicographically
-first swap as checking every pair, and the ``step_cap`` of a step still
-counts all ``C(|pool|, g + 1) * C(|S|, g)`` pairs, not the ones the pruning
-leaves.
+hits ``T ∩ S`` for every such ``T``.  Each step first settles the ``T``
+with one item ``x`` outside ``S``: one scan of the pool per
+``(u - 1)``-subset ``R`` of ``S`` finds the ``x`` that complete ``R`` to an
+edge (on the masks, ``R``'s negative rows are intersected once and each
+column is screened against them).  That is at most
+``|pool| * C(|S|, u - 1)`` screened tests, fewer than the ``C(n, u)``
+subsets that bound the search for the first edge.  A pool item that no
+``g``-subset of ``S`` can serve on its own enters no ``A``, and a non-edge
+inside ``A`` rules out ``A`` whatever ``B`` is.  The result is the same
+lexicographically first swap as checking every pair, and the ``step_cap``
+of a step still counts all ``C(|pool|, g + 1) * C(|S|, g)`` pairs, not the
+ones the pruning leaves.
 
 Every choice the underlying procedures leave open ("an arbitrary edge",
 "check all possible cases") is resolved lexicographically over sorted item
@@ -51,7 +57,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Container, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Protocol
 
 from .disjunct import _require_int
 from .errors import FeasibilityError, ValidationError
@@ -68,13 +74,41 @@ EXTENSION_STEP_CAP = 10_000_000
 ALGORITHMS = (1, 2, 3)
 
 
+def _known_algorithm(algorithm: object) -> bool:
+    """Whether ``algorithm`` is one of :data:`ALGORITHMS` as an ``int``
+    (``True`` and ``1.0`` compare equal to 1 but are not algorithm numbers)."""
+    return (
+        isinstance(algorithm, int)
+        and not isinstance(algorithm, bool)
+        and algorithm in ALGORITHMS
+    )
+
+
+class _EdgeOracle(Protocol):
+    """What the swap extension asks of a family: whether a sorted
+    ``u``-tuple is an edge, and which pool items complete a sorted
+    ``(u - 1)``-tuple to an edge."""
+
+    def __contains__(self, items: tuple[int, ...]) -> bool: ...
+
+    def completions(self, rest: tuple[int, ...], pool: tuple[int, ...]) -> list[int]: ...
+
+
+class _EdgeSet(frozenset):
+    """A built family's edges, with the membership filter as ``completions``."""
+
+    def completions(self, rest: tuple[int, ...], pool: tuple[int, ...]) -> list[int]:
+        """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)`` an edge."""
+        return [x for x in pool if tuple(sorted(rest + (x,))) in self]
+
+
 @dataclass(frozen=True)
 class Family:
     """The edge set: ``u``-subsets of the items as sorted tuples, strictly increasing."""
 
     u: int
     edges: tuple[tuple[int, ...], ...]
-    edge_set: frozenset = field(init=False, repr=False, compare=False)
+    edge_set: _EdgeSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for edge in self.edges:
@@ -85,13 +119,13 @@ class Family:
         for prev, edge in zip(self.edges, self.edges[1:]):
             if prev >= edge:
                 raise ValidationError(f"edge {edge} is not after edge {prev}")
-        object.__setattr__(self, "edge_set", frozenset(self.edges))
+        object.__setattr__(self, "edge_set", _EdgeSet(self.edges))
 
     @classmethod
     def _of_valid_edges(cls, u: int, edges: tuple[tuple[int, ...], ...]) -> "Family":
         """The family of edges known to keep the rules above, left unchecked."""
         family = object.__new__(cls)
-        family.__dict__.update(u=u, edges=edges, edge_set=frozenset(edges))
+        family.__dict__.update(u=u, edges=edges, edge_set=_EdgeSet(edges))
         return family
 
     def __len__(self) -> int:
@@ -143,10 +177,8 @@ def _family_masks(
     of :func:`_edges`: each column's negative rows, within the first
     ``_SCREEN_ROWS`` rows and over all of them (one list if all rows fit)."""
     _require_int("subset_cap", subset_cap)
-    if u < 1:
-        raise ValidationError(f"u must be >= 1, got {u}")
-    if e < 0:
-        raise ValidationError(f"e must be >= 0, got {e}")
+    _require_int("u", u)
+    _require_int("e", e, 0)
     _check_outcome_length(matrix, outcome)
     n = matrix.cols
     if u > n:
@@ -227,8 +259,9 @@ def _common_rows(masks: list[int], items: tuple[int, ...]) -> int:
 
 class _EdgeTest:
     """``T in tester`` for a sorted ``u``-tuple ``T``: whether ``t0(T) <= e``
-    over the masks of :func:`_family_masks`, screen first, each answer kept.
-    It stands in for ``Family.edge_set`` when the family is not built."""
+    over the masks of :func:`_family_masks`, screen first, each answer kept;
+    ``completions`` scans many ``T`` at once.  It stands in for
+    ``Family.edge_set`` when the family is not built."""
 
     def __init__(self, screen: list[int], full: list[int], e: int) -> None:
         self._screen, self._full, self._e = screen, full, e
@@ -244,6 +277,18 @@ class _EdgeTest:
             )
             self._known[items] = known
         return known
+
+    def completions(self, rest: tuple[int, ...], pool: tuple[int, ...]) -> list[int]:
+        """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)``
+        an edge: ``rest``'s rows are intersected once, the screen scans the
+        pool, and the full masks check only the survivors, as in :func:`_edges`."""
+        e, screen, full = self._e, self._screen, self._full
+        rows = _common_rows(screen, rest)
+        hits = [x for x in pool if (rows & screen[x - 1]).bit_count() <= e]
+        if hits and screen is not full:
+            rows = _common_rows(full, rest)
+            hits = [x for x in hits if (rows & full[x - 1]).bit_count() <= e]
+        return hits
 
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
@@ -267,7 +312,7 @@ def w_bound(s_size: int, ell: int, u: int, g: int) -> int:
 
 
 def _first_u_complete_extension(
-    edge_set: Container[tuple[int, ...]],
+    edge_set: _EdgeOracle,
     u: int,
     current: frozenset,
     pool: tuple[int, ...],
@@ -279,21 +324,29 @@ def _first_u_complete_extension(
     ``A`` runs over ``(g + 1)``-subsets of ``pool`` (sorted items outside
     the current set ``S``), ``B`` over ``g``-subsets of ``S``, both in
     lexicographic order with ``A`` outermost.  ``S`` must be u-complete.
-    ``edge_set`` answers ``T in edge_set`` for sorted ``u``-tuples ``T``.
+    ``edge_set`` answers ``T in edge_set`` for sorted ``u``-tuples ``T``,
+    and ``edge_set.completions(R, pool)`` lists, in pool order, the pool
+    items that complete a sorted ``(u - 1)``-tuple ``R`` to an edge.
 
     Since ``S`` is u-complete, every non-edge ``u``-subset ``T`` of
     ``S ∪ A`` meets ``A``, and the candidate is u-complete iff ``B`` hits
     ``T ∩ S`` for every such ``T``: a hitting-set condition that splits by
-    the part ``T ∩ A``.  A pool item ``x`` whose own non-edges
-    ``{x} ∪ (u - 1)-subset of S`` no ``B`` can hit enters no ``A``, and an
-    ``A`` prefix that no ``B`` can serve ends its branch.  For each
-    surviving ``A`` the allowed ``B`` are one bitmask over the ``B`` in
-    lexicographic order, so its lowest bit is the first ``B``.
-    Each item's own mask is computed when the search first reaches it, so
-    the search stops at the first ``A`` that passes; for ``g = 0`` that is
-    the first ``x`` with ``S ∪ {x}`` u-complete.  ``step_cap`` bounds the
-    unpruned count ``C(|pool|, g + 1) * C(|S|, g)`` of candidate pairs,
-    whatever the pruning skips.
+    the part ``T ∩ A``.  For each ``A`` the allowed ``B`` are one bitmask
+    over the ``B`` in lexicographic order, so its lowest bit is the first
+    ``B``.
+
+    The step starts with every pool item's own mask, for the part
+    ``{x}``: one ``completions`` scan per ``(u - 1)``-subset ``R`` of ``S``,
+    which is at most ``|pool| * C(|S|, u - 1)`` screened tests on the
+    masks, fewer than the ``C(n, u)`` subsets that bound the search for
+    the first edge.  An item whose own mask is empty (no ``B`` hits all
+    its non-edges) enters no ``A``, so the search walks only the others.
+    It tests the parts with two or more items of ``A`` by membership, only
+    while the ``A`` prefix still has a ``B``, and stops at the first ``A``
+    that passes.  For ``g = 0`` that is the first ``x`` with ``S ∪ {x}``
+    u-complete.
+    ``step_cap`` bounds the unpruned count ``C(|pool|, g + 1) * C(|S|, g)``
+    of candidate pairs, whatever the pruning skips.
     """
     if len(pool) < g + 1:
         return None
@@ -310,37 +363,59 @@ def _first_u_complete_extension(
             holders[j] |= 1 << i
     every_b = (1 << len(b_sets)) - 1
 
+    def hit(rest: tuple[int, ...]) -> int:
+        """The B that meet ``rest``."""
+        mask = 0
+        for j in rest:
+            mask |= holders[j]
+        return mask
+
     def allowed(part: tuple[int, ...]) -> int:
         """The B hitting ``T ∩ S`` for every non-edge ``T`` with ``T ∩ A == part``."""
         mask = every_b
         for rest in combinations(cur_sorted, u - len(part)):
             if tuple(sorted(part + rest)) not in edge_set:
-                hit = 0
-                for j in rest:
-                    hit |= holders[j]
-                mask &= hit
+                mask &= hit(rest)
                 if not mask:
                     break
         return mask
 
-    single: dict[int, int] = {}  # allowed((x,)), filled as the search reaches x
+    # allowed((x,)) for every pool item x, from one scan of the pool per
+    # (u - 1)-subset of S: it is the AND of hit(rest) over the rests that x
+    # does not complete to an edge.  Few items complete any rest; the others
+    # all get ``unmatched``, the B that meet every rest.
+    rests = tuple(combinations(cur_sorted, u - 1))
+    rest_hits = tuple(hit(rest) for rest in rests)
+    completed = tuple(set(edge_set.completions(rest, pool)) for rest in rests)
+    unmatched = every_b
+    for rest_hit in rest_hits:
+        unmatched &= rest_hit
+    single = {}
+    for x in set().union(*completed):
+        mask = every_b
+        for rest_hit, done in zip(rest_hits, completed):
+            if x not in done:
+                mask &= rest_hit
+        single[x] = mask
+    # the items whose own mask is non-zero: the only ones any A can hold
+    live = pool if unmatched else tuple(sorted(x for x in single if single[x]))
 
     def search(prefix: tuple[int, ...], start: int, mask: int):
-        """First ``A`` extending ``prefix`` by ``pool[start:]``, with its B mask."""
-        for k in range(start, len(pool) - g + len(prefix)):
-            x = pool[k]
-            if x not in single:
-                single[x] = allowed((x,))
-            grown_mask = mask & single[x]
+        """First ``A`` extending ``prefix`` by ``live[start:]``, with its B mask."""
+        for k in range(start, len(live) - g + len(prefix)):
+            x = live[k]
+            grown_mask = mask & single.get(x, unmatched)
+            if not grown_mask:
+                continue
             parts = (
                 part + (x,)
                 for size in range(1, min(u, len(prefix) + 1))
                 for part in combinations(prefix, size)
             )
             for part in parts:
+                grown_mask &= allowed(part)
                 if not grown_mask:
                     break
-                grown_mask &= allowed(part)
             if not grown_mask:
                 continue
             if len(prefix) == g:
@@ -363,7 +438,7 @@ def _first_u_complete_extension(
 
 def _swap_extend(
     first_edge: tuple[int, ...],
-    edge_set: Container[tuple[int, ...]],
+    edge_set: _EdgeOracle,
     universe: tuple[int, ...],
     d: int,
     g: int,
@@ -400,7 +475,7 @@ def _greedy_union(edges: tuple[tuple[int, ...], ...], g: int) -> set[int]:
 def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]:
     """The (false-positive, false-negative) envelope of an algorithm when
     the defective set has ``s_size`` items (only algorithm 2 depends on it)."""
-    if algorithm not in ALGORITHMS:
+    if not _known_algorithm(algorithm):
         raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
     g = params.g
     if algorithm == 1:
@@ -436,7 +511,7 @@ def _underdetermined(params: TGTParams, algorithm: int) -> DecodeResult:
 
 def _decode(
     edges: Iterator[tuple[int, ...]],
-    edge_test: Container[tuple[int, ...]],
+    edge_test: _EdgeOracle,
     params: TGTParams,
     algorithm: int,
     step_cap: int,
@@ -502,8 +577,9 @@ def decode(
     ``(g, 2g)``.
 
     No algorithm builds the family: each reads the enumeration that would
-    build it (algorithm 1 only up to the first edge), and the extension
-    tests ``t0 <= e`` for each subset it asks about, once per subset.
+    build it (algorithm 1 only up to the first edge).  Each extension step
+    screens the pool's columns once per ``(u - 1)``-subset of its current
+    set, and tests ``t0 <= e`` for each other subset it asks about, once.
     ``subset_cap`` still counts all ``C(n, u)`` subsets.  ``step_cap``
     bounds each extension step and so only matters to algorithms 1 and 3.
     """

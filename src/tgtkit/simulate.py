@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .decode import ALGORITHMS, check_envelope, decode
+from .decode import _known_algorithm, check_envelope, decode
 from .disjunct import (
     ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, BoundParams, _check_entry_budget,
     _check_pair_cap, generate, generate_verified, rows_thm4,
@@ -195,8 +195,8 @@ class ExperimentSpec:
     verified: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValidationError(f"algorithm must be 1, 2 or 3, got {self.algorithm}")
+        if not _known_algorithm(self.algorithm):
+            raise ValidationError(f"algorithm must be 1, 2 or 3, got {self.algorithm!r}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
         if (self.matrix_path is None) == (self.generate_kind is None):

@@ -39,6 +39,7 @@ from tgtkit.decode import (
     EXTENSION_STEP_CAP,
     FAMILY_SUBSET_CAP,
     Family,
+    _EdgeTest,
     _edges,
     _family_masks,
     _first_u_complete_extension,
@@ -109,6 +110,24 @@ class TestBuildFamily:
     def test_subset_cap(self, golden_matrix, golden_outcome):
         with pytest.raises(FeasibilityError):
             build_family(golden_matrix, golden_outcome, 2, 0, subset_cap=10)
+
+    @pytest.mark.parametrize(
+        "u, e, message",
+        [
+            (0, 0, r"^u must be >= 1, got 0$"),
+            (2, -1, r"^e must be >= 0, got -1$"),
+            (2.0, 0, r"^u must be an integer, got 2\.0$"),
+            (True, 0, r"^u must be an integer, got True$"),
+            (2, 0.0, r"^e must be an integer, got 0\.0$"),
+            (2, True, r"^e must be an integer, got True$"),
+            (2, "1", r"^e must be an integer, got '1'$"),
+        ],
+    )
+    def test_u_and_e_are_validated(self, golden_matrix, golden_outcome, u, e, message):
+        # a float u failed with a bare TypeError inside math.comb, and a
+        # bool e ran as 0 or 1
+        with pytest.raises(ValidationError, match=message):
+            build_family(golden_matrix, golden_outcome, u, e)
 
     def test_lexicographic_order(self, golden_matrix, golden_outcome):
         fam = build_family(golden_matrix, golden_outcome, 2, 1)
@@ -294,6 +313,19 @@ class TestGoldenDecodes:
             )
         with pytest.raises(ValidationError, match="unknown algorithm"):
             decode_from_family(fam, golden_params, 4)
+
+    @pytest.mark.parametrize("algorithm", [True, 1.0, 3.0, "1", None])
+    def test_algorithm_must_be_an_int(
+        self, golden_matrix, golden_outcome, golden_params, algorithm
+    ):
+        # True and 1.0 equal 1, and ran as algorithm 1 with algorithm=True
+        # on the result
+        fam = build_family(golden_matrix, golden_outcome, 2, 0)
+        message = rf"^unknown algorithm {re.escape(repr(algorithm))} \(expected 1, 2 or 3\)$"
+        with pytest.raises(ValidationError, match=message):
+            decode(golden_outcome, golden_matrix, golden_params, algorithm)
+        with pytest.raises(ValidationError, match=message):
+            decode_from_family(fam, golden_params, algorithm)
         with pytest.raises(ValidationError, match="family has u=1"):
             decode_from_family(
                 build_family(golden_matrix, golden_outcome, 1, 0), golden_params, 1
@@ -558,6 +590,63 @@ def test_swap_extension_matches_reference(n, u, g, d_offset, rate, step_cap, see
         assert len(step) == len(current) + 1 and is_u_complete(family, step)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.sampled_from((1, _SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1, 1100)),
+    n=st.integers(2, 10),
+    u=st.integers(1, 3),
+    g=st.integers(0, 2),
+    e=st.integers(0, 2),
+    density=st.sampled_from((0.1, 0.3, 0.6)),
+    negative_rate=st.sampled_from((0.0, 0.005, 0.05, 0.3)),
+    positive_head=st.sampled_from((0, _SCREEN_ROWS)),
+    step_cap=st.one_of(st.just(EXTENSION_STEP_CAP), st.integers(0, 60)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_backed_step_matches_reference(
+    t, n, u, g, e, density, negative_rate, positive_head, step_cap, seed
+):
+    # one extension step on the column masks (each pool item's own mask from
+    # one screened scan per (u - 1)-subset of S) returns what checking every
+    # (A, B) pair on build_family's family returns, or raises the same cap
+    # error; and each scan is the family's membership filter.  With
+    # positive_head at the screen's size every negative row lies past the
+    # screen, so only the full masks decide.
+    u = min(u, n)
+    rng = random.Random(seed)
+    matrix = BinaryMatrix.from_bits(
+        [[int(rng.random() < density) for _ in range(n)] for _ in range(t)]
+    )
+    outcome = OutcomeVector.from_bits(
+        tuple(int(i < positive_head or rng.random() >= negative_rate) for i in range(t))
+    )
+    family = build_family(matrix, outcome, u, e)
+    if not family.edges:
+        return
+    tester = _EdgeTest(*_family_masks(matrix, outcome, u, e, FAMILY_SUBSET_CAP), e)
+    current = set(rng.choice(family.edges))
+    size = rng.randint(u, n)
+    for item in rng.sample(range(1, n + 1), n):
+        if len(current) >= size:
+            break
+        if item not in current and is_u_complete(family, current | {item}):
+            current.add(item)
+    current = frozenset(current)
+    pool = tuple(j for j in range(1, n + 1) if j not in current)
+    for rest in combinations(sorted(current), u - 1):
+        members = [x for x in pool if tuple(sorted(rest + (x,))) in family.edge_set]
+        assert tester.completions(rest, pool) == members
+        assert family.edge_set.completions(rest, pool) == members
+    step = _outcome_or_error(
+        lambda: _first_u_complete_extension(tester, u, current, pool, g, step_cap)
+    )
+    assert step == _outcome_or_error(
+        lambda: _first_u_complete_extension_reference(
+            family.edge_set, u, current, pool, g, step_cap
+        )
+    )
+
+
 _POLICIES = {
     "positive": lambda seed: GapPolicy.always_positive(),
     "negative": lambda seed: GapPolicy.always_negative(),
@@ -811,6 +900,13 @@ class TestCheckEnvelope:
     def test_range_validated(self, golden_params):
         with pytest.raises(ValidationError):
             check_envelope(ItemSet.of([7]), ItemSet.of([1]), 1, golden_params)
+
+    @pytest.mark.parametrize("algorithm", [True, False, 2.0])
+    def test_algorithm_must_be_an_int(self, golden_params, algorithm):
+        s = ItemSet.of([1, 2, 4, 5])
+        message = rf"^unknown algorithm {re.escape(repr(algorithm))} \(expected 1, 2 or 3\)$"
+        with pytest.raises(ValidationError, match=message):
+            check_envelope(s, s, algorithm, golden_params)
 
     def test_unknown_algorithm_after_the_range_check(self, golden_params):
         with pytest.raises(ValidationError, match=r"^unknown algorithm 4 \(expected 1, 2 or 3\)$"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -166,6 +167,15 @@ class TestExperimentSpec:
         assert spec.defectives.members == (1, 2, 4, 5)
         assert spec.policy.kind == "explicit"
         assert spec.verified
+
+    @pytest.mark.parametrize("algorithm", [True, 1.0, "1", 4])
+    def test_algorithm_must_be_an_int(self, golden_file, algorithm):
+        # dataclasses.replace(spec, algorithm=True) ran, and the report
+        # printed algorithm=True
+        spec = ExperimentSpec.parse(GOLDEN_SPEC.format(matrix=golden_file))
+        message = rf"^algorithm must be 1, 2 or 3, got {re.escape(repr(algorithm))}$"
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(spec, algorithm=algorithm)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown spec key"):
