@@ -24,7 +24,9 @@ three on the edges in lexicographic order and a test of "is ``T`` an
 edge?".  :func:`decode_from_family` gives it a family already built.
 :func:`decode` builds none: it gives the enumeration that would build one,
 read only as far as the decoder reads (algorithm 1 reads the first edge),
-and answers the extension's questions from the column masks.
+and answers the extension's questions from the column masks.  The
+enumeration, :func:`build_family` and those answers are one screened
+column scan: the ``x`` that complete a sorted ``(u - 1)``-tuple to an edge.
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
 subset the extension asks about lies inside it.
@@ -41,7 +43,11 @@ column is screened against them).  That is at most
 ``|pool| * C(|S|, u - 1)`` screened tests, fewer than the ``C(n, u)``
 subsets that bound the search for the first edge.  A pool item that no
 ``g``-subset of ``S`` can serve on its own enters no ``A``, and a non-edge
-inside ``A`` rules out ``A`` whatever ``B`` is.  The result is the same
+inside ``A`` rules out ``A`` whatever ``B`` is.  The ``T`` with more
+items in ``A`` are settled by the same scan, now over ``S``, for each part
+``T ∩ A`` the search reaches.  What a part allows is kept for the step, so
+a step asks about a subset at most once, though a later step may ask
+again.  The result is the same
 lexicographically first swap as checking every pair, and the ``step_cap``
 of a step still counts all ``C(|pool|, g + 1) * C(|S|, g)`` pairs, not the
 ones the pruning leaves.
@@ -86,18 +92,18 @@ def _known_algorithm(algorithm: object) -> bool:
 
 class _EdgeOracle(Protocol):
     """What the swap extension asks of a family: whether a sorted
-    ``u``-tuple is an edge, and which pool items complete a sorted
+    ``u``-tuple is an edge, and which of some items complete a sorted
     ``(u - 1)``-tuple to an edge."""
 
     def __contains__(self, items: tuple[int, ...]) -> bool: ...
 
-    def completions(self, rest: tuple[int, ...], pool: tuple[int, ...]) -> list[int]: ...
+    def completions(self, rest: tuple[int, ...], pool: Iterable[int]) -> list[int]: ...
 
 
 class _EdgeSet(frozenset):
     """A built family's edges, with the membership filter as ``completions``."""
 
-    def completions(self, rest: tuple[int, ...], pool: tuple[int, ...]) -> list[int]:
+    def completions(self, rest: tuple[int, ...], pool: Iterable[int]) -> list[int]:
         """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)`` an edge."""
         return [x for x in pool if tuple(sorted(rest + (x,))) in self]
 
@@ -166,129 +172,79 @@ def build_family(
     subset_cap: int = FAMILY_SUBSET_CAP,
 ) -> Family:
     """All ``u``-subsets with ``t0 <= e``, enumerated lexicographically."""
-    screen, full = _family_masks(matrix, outcome, u, e, subset_cap)
-    return Family._of_valid_edges(u, tuple(_edges(screen, full, u, e)))
-
-
-def _family_masks(
-    matrix: BinaryMatrix, outcome: OutcomeVector, u: int, e: int, subset_cap: int
-) -> tuple[list[int], list[int]]:
-    """Check the family's arguments and return the ``(screen, full)`` masks
-    of :func:`_edges`: each column's negative rows, within the first
-    ``_SCREEN_ROWS`` rows and over all of them (one list if all rows fit)."""
-    _require_int("subset_cap", subset_cap)
-    _require_int("u", u)
-    _require_int("e", e, 0)
-    _check_outcome_length(matrix, outcome)
-    n = matrix.cols
-    if u > n:
-        raise ValidationError(f"u={u} exceeds the number of items {n}")
-    total = math.comb(n, u)
-    if total > subset_cap:
-        raise FeasibilityError(
-            f"family construction would enumerate {total} subsets > cap {subset_cap}"
-        )
-    negatives = outcome.negatives_mask
-    full = [mask & negatives for mask in matrix.col_masks]
-    if matrix.rows <= _SCREEN_ROWS:
-        return full, full  # the screen is exact; no subset needs a second look
-    low_rows = (1 << _SCREEN_ROWS) - 1
-    return [mask & low_rows for mask in full], full
-
-
-def _edges(
-    screen: list[int],
-    full: list[int],
-    u: int,
-    e: int,
-    prefix: tuple[int, ...] = (),
-    prefix_screen: int = -1,
-    prefix_full: Optional[int] = -1,
-    start: int = 0,
-) -> Iterator[tuple[int, ...]]:
-    """Yield, in lexicographic order, every edge that extends ``prefix``
-    (sorted 1-based items) by items from ``start + 1`` on.
-
-    ``screen[j]`` and ``full[j]`` are the negative rows of 0-based column
-    ``j`` within the screen and over all rows; ``prefix_screen`` and
-    ``prefix_full`` intersect them over ``prefix``, and ``prefix_full`` is
-    None until some extension passes the screen.  A count over a subset of
-    the rows is a lower bound on ``t0``, so a screen count above ``e``
-    rejects exactly.  Nothing is computed past the last edge drawn, so
-    ``next`` on the full enumeration is a search for the first edge.
-    """
-    n = len(full)
-    need = u - len(prefix)
-    exact = screen is full
-    if need == 1:
-        hits = [
-            k
-            for k, mask in enumerate(screen[start:], start)
-            if (prefix_screen & mask).bit_count() <= e
-        ]
-        if hits and not exact:
-            if prefix_full is None:
-                prefix_full = _common_rows(full, prefix)
-            hits = [k for k in hits if (prefix_full & full[k]).bit_count() <= e]
-        for k in hits:
-            yield prefix + (k + 1,)
-        return
-    for k in range(start, n - need + 1):
-        rows = prefix_screen & screen[k]
-        rows_full = None
-        if rows.bit_count() <= e:
-            if not exact:
-                if prefix_full is None:
-                    prefix_full = _common_rows(full, prefix)
-                rows_full = prefix_full & full[k]
-            if exact or rows_full.bit_count() <= e:
-                # t0 only falls as items join, so every extension is an edge
-                grown = prefix + (k + 1,)
-                for rest in combinations(range(k + 2, n + 1), need - 1):
-                    yield grown + rest
-                continue
-        yield from _edges(screen, full, u, e, prefix + (k + 1,), rows, rows_full, k + 1)
-
-
-def _common_rows(masks: list[int], items: tuple[int, ...]) -> int:
-    rows = -1
-    for j in items:
-        rows &= masks[j - 1]
-    return rows
+    edges = _EdgeTest(matrix, outcome, u, e, subset_cap).edges()
+    return Family._of_valid_edges(u, tuple(edges))
 
 
 class _EdgeTest:
-    """``T in tester`` for a sorted ``u``-tuple ``T``: whether ``t0(T) <= e``
-    over the masks of :func:`_family_masks`, screen first, each answer kept;
-    ``completions`` scans many ``T`` at once.  It stands in for
-    ``Family.edge_set`` when the family is not built."""
+    """Whether ``t0(T) <= e`` for sorted ``u``-tuples ``T``, on the column
+    masks: the family of :func:`build_family` without building it.
 
-    def __init__(self, screen: list[int], full: list[int], e: int) -> None:
-        self._screen, self._full, self._e = screen, full, e
-        self._known: dict[tuple[int, ...], bool] = {}
+    Every question is one screened scan, :meth:`completions`: the rows of
+    a sorted ``(u - 1)``-tuple are intersected once, each candidate column
+    is counted against them within the first ``_SCREEN_ROWS`` rows, and
+    only the survivors are counted over all rows.  A count over some of
+    the rows is a lower bound on ``t0``, so the screen rejects exactly.
+    :meth:`edges` is the lexicographic edge stream, one scan per
+    ``(u - 1)``-subset, and ``T in tester`` scans ``T``'s last item alone.
+    Nothing is kept between questions.
+    """
+
+    def __init__(
+        self,
+        matrix: BinaryMatrix,
+        outcome: OutcomeVector,
+        u: int,
+        e: int,
+        subset_cap: int,
+    ) -> None:
+        _require_int("subset_cap", subset_cap)
+        _require_int("u", u)
+        _require_int("e", e, 0)
+        _check_outcome_length(matrix, outcome)
+        n = matrix.cols
+        if u > n:
+            raise ValidationError(f"u={u} exceeds the number of items {n}")
+        total = math.comb(n, u)
+        if total > subset_cap:
+            raise FeasibilityError(
+                f"family construction would enumerate {total} subsets > cap {subset_cap}"
+            )
+        negatives = outcome.negatives_mask
+        # item j's negative rows, over all rows and within the screen, at
+        # index j (index 0 holds no item)
+        self._full = [0] + [mask & negatives for mask in matrix.col_masks]
+        self._screen = self._full  # exact when every row fits in the screen
+        if matrix.rows > _SCREEN_ROWS:
+            low_rows = (1 << _SCREEN_ROWS) - 1
+            self._screen = [mask & low_rows for mask in self._full]
+        self._n, self._u, self._e = n, u, e
+
+    def completions(self, rest: tuple[int, ...], pool: Iterable[int]) -> list[int]:
+        """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)``
+        an edge, in pool order."""
+        e, screen, full = self._e, self._screen, self._full
+        rows = -1
+        for j in rest:
+            rows &= screen[j]
+        hits = [x for x in pool if (rows & screen[x]).bit_count() <= e]
+        if hits and screen is not full:
+            rows = -1
+            for j in rest:
+                rows &= full[j]
+            hits = [x for x in hits if (rows & full[x]).bit_count() <= e]
+        return hits
+
+    def edges(self) -> Iterator[tuple[int, ...]]:
+        """Every edge, in lexicographic order.  Nothing is computed past the
+        last edge drawn, so ``next`` on it is a search for the first edge."""
+        n = self._n
+        for rest in combinations(range(1, n + 1), self._u - 1):
+            for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
+                yield rest + (x,)
 
     def __contains__(self, items: tuple[int, ...]) -> bool:
-        known = self._known.get(items)
-        if known is None:
-            e = self._e
-            known = _common_rows(self._screen, items).bit_count() <= e and (
-                self._screen is self._full
-                or _common_rows(self._full, items).bit_count() <= e
-            )
-            self._known[items] = known
-        return known
-
-    def completions(self, rest: tuple[int, ...], pool: tuple[int, ...]) -> list[int]:
-        """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)``
-        an edge: ``rest``'s rows are intersected once, the screen scans the
-        pool, and the full masks check only the survivors, as in :func:`_edges`."""
-        e, screen, full = self._e, self._screen, self._full
-        rows = _common_rows(screen, rest)
-        hits = [x for x in pool if (rows & screen[x - 1]).bit_count() <= e]
-        if hits and screen is not full:
-            rows = _common_rows(full, rest)
-            hits = [x for x in hits if (rows & full[x - 1]).bit_count() <= e]
-        return hits
+        return bool(self.completions(items[:-1], items[-1:]))
 
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
@@ -325,8 +281,8 @@ def _first_u_complete_extension(
     the current set ``S``), ``B`` over ``g``-subsets of ``S``, both in
     lexicographic order with ``A`` outermost.  ``S`` must be u-complete.
     ``edge_set`` answers ``T in edge_set`` for sorted ``u``-tuples ``T``,
-    and ``edge_set.completions(R, pool)`` lists, in pool order, the pool
-    items that complete a sorted ``(u - 1)``-tuple ``R`` to an edge.
+    and ``edge_set.completions(R, items)`` lists, in their order, the
+    ``items`` that complete a sorted ``(u - 1)``-tuple ``R`` to an edge.
 
     Since ``S`` is u-complete, every non-edge ``u``-subset ``T`` of
     ``S ∪ A`` meets ``A``, and the candidate is u-complete iff ``B`` hits
@@ -341,10 +297,14 @@ def _first_u_complete_extension(
     masks, fewer than the ``C(n, u)`` subsets that bound the search for
     the first edge.  An item whose own mask is empty (no ``B`` hits all
     its non-edges) enters no ``A``, so the search walks only the others.
-    It tests the parts with two or more items of ``A`` by membership, only
-    while the ``A`` prefix still has a ``B``, and stops at the first ``A``
-    that passes.  For ``g = 0`` that is the first ``x`` with ``S ∪ {x}``
-    u-complete.
+    It settles the parts with two or more items of ``A`` only while the
+    ``A`` prefix still has a ``B``, and stops at the first ``A`` that
+    passes; for ``g = 0`` that is the first ``x`` with ``S ∪ {x}``
+    u-complete.  A part of ``u`` items is one membership test; a smaller
+    part is one ``completions`` scan of ``S`` per head of ``T ∩ S`` (its
+    items but the last).  Two ``A`` prefixes can share a part, so each
+    part's mask is kept for the step: no ``T`` is asked about twice in one
+    step.
     ``step_cap`` bounds the unpruned count ``C(|pool|, g + 1) * C(|S|, g)``
     of candidate pairs, whatever the pruning skips.
     """
@@ -370,14 +330,29 @@ def _first_u_complete_extension(
             mask |= holders[j]
         return mask
 
+    part_masks: dict[tuple[int, ...], int] = {}
+
     def allowed(part: tuple[int, ...]) -> int:
         """The B hitting ``T ∩ S`` for every non-edge ``T`` with ``T ∩ A == part``."""
-        mask = every_b
-        for rest in combinations(cur_sorted, u - len(part)):
-            if tuple(sorted(part + rest)) not in edge_set:
-                mask &= hit(rest)
-                if not mask:
-                    break
+        mask = part_masks.get(part)
+        if mask is None:
+            if len(part) == u:  # T is the part itself, and no B meets it
+                mask = every_b if part in edge_set else 0
+            else:
+                # T ∩ S is head + (j,): one scan per head finds the j after
+                # it that complete T to an edge
+                mask = every_b
+                for head in combinations(cur_sorted, u - len(part) - 1):
+                    after = max(head, default=0)
+                    later = [j for j in cur_sorted if j > after]
+                    done = edge_set.completions(tuple(sorted(part + head)), later)
+                    head_hit = hit(head)
+                    for j in later:
+                        if j not in done:
+                            mask &= head_hit | holders[j]
+                    if not mask:
+                        break
+            part_masks[part] = mask
         return mask
 
     # allowed((x,)) for every pool item x, from one scan of the pool per
@@ -579,7 +554,8 @@ def decode(
     No algorithm builds the family: each reads the enumeration that would
     build it (algorithm 1 only up to the first edge).  Each extension step
     screens the pool's columns once per ``(u - 1)``-subset of its current
-    set, and tests ``t0 <= e`` for each other subset it asks about, once.
+    set, and tests ``t0 <= e`` for each other subset it asks about at most
+    once per step.
     ``subset_cap`` still counts all ``C(n, u)`` subsets.  ``step_cap``
     bounds each extension step and so only matters to algorithms 1 and 3.
     """
@@ -590,10 +566,8 @@ def decode(
             f"matrix has {matrix.cols} columns but params say n={params.n}"
         )
     _announce(params, algorithm)
-    u, e = params.u, params.e
-    screen, full = _family_masks(matrix, outcome, u, e, subset_cap)
-    edges = _edges(screen, full, u, e)
-    return _decode(edges, _EdgeTest(screen, full, e), params, algorithm, step_cap)
+    tester = _EdgeTest(matrix, outcome, params.u, params.e, subset_cap)
+    return _decode(tester.edges(), tester, params, algorithm, step_cap)
 
 
 @dataclass(frozen=True)

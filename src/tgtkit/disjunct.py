@@ -59,10 +59,12 @@ _LN10 = math.log(10.0)
 _DIRECT_COMPLETIONS = 64
 
 
-def _require_int(name: str, value: int, minimum: int = 1) -> None:
+def _require_int(name: str, value: int, minimum: Optional[int] = 1) -> None:
+    """Reject a non-int ``value`` (bools too) and, unless ``minimum`` is
+    None, one below ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 

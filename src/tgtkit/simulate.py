@@ -25,7 +25,7 @@ from typing import Optional
 from .decode import _known_algorithm, check_envelope, decode
 from .disjunct import (
     ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, BoundParams, _check_entry_budget,
-    _check_pair_cap, generate, generate_verified, rows_thm4,
+    _check_pair_cap, _require_int, generate, generate_verified, rows_thm4,
 )
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
@@ -197,8 +197,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not _known_algorithm(self.algorithm):
             raise ValidationError(f"algorithm must be 1, 2 or 3, got {self.algorithm!r}")
-        if self.trials < 0:
-            raise ValidationError("trials must be >= 0")
+        _require_int("trials", self.trials, 0)
+        _require_int("seed", self.seed, None)
         if (self.matrix_path is None) == (self.generate_kind is None):
             raise ValidationError(
                 "exactly one of matrix=<path> or generate=<kind> is required"
@@ -210,18 +210,18 @@ class ExperimentSpec:
                 raise ValidationError(
                     "rows= needs generate=: a matrix file fixes the row count"
                 )
-            if self.rows_override < 1:
-                raise ValidationError(f"rows must be >= 1, got {self.rows_override}")
-        if self.max_attempts < 1:
-            raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
+            _require_int("rows", self.rows_override)
+        _require_int("max_attempts", self.max_attempts)
         if (self.defectives is None) == (self.s_size is None):
             raise ValidationError(
                 "exactly one of defectives=<items> or s_size=<int> is required"
             )
-        if self.s_size is not None and not 1 <= self.s_size <= self.params.d:
-            raise ValidationError(
-                f"s_size must be in 1..d={self.params.d}, got {self.s_size}"
-            )
+        if self.s_size is not None:
+            _require_int("s_size", self.s_size, None)
+            if not 1 <= self.s_size <= self.params.d:
+                raise ValidationError(
+                    f"s_size must be in 1..d={self.params.d}, got {self.s_size}"
+                )
         if self.policy.kind == "explicit" and self.s_size is not None:
             raise ValidationError(
                 "policy=explicit needs defectives=<items>: its fixed rows cannot "

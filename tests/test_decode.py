@@ -7,6 +7,7 @@ import math
 import random
 import re
 import warnings
+from collections import Counter
 from itertools import combinations, product
 from unittest import mock
 
@@ -39,9 +40,8 @@ from tgtkit.decode import (
     EXTENSION_STEP_CAP,
     FAMILY_SUBSET_CAP,
     Family,
+    _EdgeSet,
     _EdgeTest,
-    _edges,
-    _family_masks,
     _first_u_complete_extension,
     _greedy_union,
     _swap_extend,
@@ -157,6 +157,15 @@ class TestBuildFamily:
              positive_head=_SCREEN_ROWS - 1, seed=2)
     @example(t=3000, n=8, u=4, e=0, density=0.6, negative_rate=1.0,
              positive_head=0, seed=3)
+    # all positive past the screen's size: every subset is an edge, which
+    # the stream finds one (u - 1)-subset at a time
+    @example(t=_SCREEN_ROWS + 1, n=8, u=3, e=0, density=0.6, negative_rate=0.0,
+             positive_head=0, seed=5)
+    @example(t=_SCREEN_ROWS + 1, n=8, u=4, e=0, density=0.6, negative_rate=0.0,
+             positive_head=0, seed=6)
+    # every negative row past the screen: the full masks alone decide
+    @example(t=2 * _SCREEN_ROWS, n=9, u=3, e=2, density=0.3, negative_rate=0.3,
+             positive_head=_SCREEN_ROWS, seed=7)
     @example(t=3000, n=8, u=2, e=2, density=0.6, negative_rate=0.0,
              positive_head=0, seed=4)
     def test_matches_reference(
@@ -609,9 +618,9 @@ def test_mask_backed_step_matches_reference(
     # one extension step on the column masks (each pool item's own mask from
     # one screened scan per (u - 1)-subset of S) returns what checking every
     # (A, B) pair on build_family's family returns, or raises the same cap
-    # error; and each scan is the family's membership filter.  With
-    # positive_head at the screen's size every negative row lies past the
-    # screen, so only the full masks decide.
+    # error; and each scan, like ``T in tester``, is the family's membership
+    # filter.  With positive_head at the screen's size every negative row
+    # lies past the screen, so only the full masks decide.
     u = min(u, n)
     rng = random.Random(seed)
     matrix = BinaryMatrix.from_bits(
@@ -621,9 +630,11 @@ def test_mask_backed_step_matches_reference(
         tuple(int(i < positive_head or rng.random() >= negative_rate) for i in range(t))
     )
     family = build_family(matrix, outcome, u, e)
+    tester = _EdgeTest(matrix, outcome, u, e, FAMILY_SUBSET_CAP)
+    for items in combinations(range(1, n + 1), u):
+        assert (items in tester) == (items in family.edge_set)
     if not family.edges:
         return
-    tester = _EdgeTest(*_family_masks(matrix, outcome, u, e, FAMILY_SUBSET_CAP), e)
     current = set(rng.choice(family.edges))
     size = rng.randint(u, n)
     for item in rng.sample(range(1, n + 1), n):
@@ -726,8 +737,7 @@ def test_decode_without_the_family_matches_the_family(
         results.append(result)
     if subset_cap >= math.comb(n, u):
         family = build_family(matrix, outcome, u, params.e)
-        screen, full = _family_masks(matrix, outcome, u, params.e, subset_cap)
-        first = next(_edges(screen, full, u, params.e), None)
+        first = next(_EdgeTest(matrix, outcome, u, params.e, subset_cap).edges(), None)
         assert first == (family.edges[0] if family.edges else None)
         for result in results:
             assert getattr(result, "underdetermined", False) == (first is None)
@@ -803,6 +813,48 @@ def test_step_cap_counts_unpruned_pairs():
         match=r"^extension step would check 90 candidate pairs > cap 89$",
     ):
         decode_from_family(family, params, 1, step_cap=89)
+
+
+def test_extension_asks_each_membership_once_per_step():
+    # at g = 2 a step asks allowed(part) again for a part it has already
+    # settled; the step keeps each part's mask, so no "is T an edge?"
+    # question repeats within one step
+    from tgtkit import generate
+
+    params = TGTParams(n=40, d=6, ell=0, u=3, z=3)
+    matrix = generate(params.n, params.d, params.u, params.z, seed=5)
+    real_step = _first_u_complete_extension
+    repeats = []
+
+    class CountingSet(_EdgeSet):
+        def __contains__(self, items):
+            self.asked[items] += 1
+            return super().__contains__(items)
+
+    def counted_step(edge_set, *args):
+        counting = CountingSet(edge_set)
+        counting.asked = Counter()
+        found = real_step(counting, *args)
+        repeats.append(max(counting.asked.values(), default=1))
+        return found
+
+    rng = random.Random(2)
+    with mock.patch("tgtkit.decode._first_u_complete_extension", counted_step):
+        for _ in range(24):
+            outcome = encode(
+                matrix,
+                ItemSet.of(
+                    rng.sample(range(1, params.n + 1), rng.randint(params.u, params.d))
+                ),
+                params.ell,
+                params.u,
+                GapPolicy.always_positive(),
+                NoiseSpec.random_flips(1, seed=rng.randrange(2**32)),
+            )
+            family = build_family(matrix, outcome, params.u, params.e)
+            if family.edges:
+                decode_from_family(family, params, 1)
+    assert repeats and max(repeats) == 1
 
 
 class TestNominalSizeWarnings:

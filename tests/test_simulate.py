@@ -177,6 +177,31 @@ class TestExperimentSpec:
         with pytest.raises(ValidationError, match=message):
             dataclasses.replace(spec, algorithm=algorithm)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trials", 2.5, r"^trials must be an integer, got 2\.5$"),
+            ("trials", True, r"^trials must be an integer, got True$"),
+            ("trials", -1, r"^trials must be >= 0, got -1$"),
+            ("seed", 1.5, r"^seed must be an integer, got 1\.5$"),
+            ("seed", False, r"^seed must be an integer, got False$"),
+            ("max_attempts", 2.5, r"^max_attempts must be an integer, got 2\.5$"),
+            ("rows_override", 7.0, r"^rows must be an integer, got 7\.0$"),
+            ("s_size", 2.0, r"^s_size must be an integer, got 2\.0$"),
+            ("s_size", True, r"^s_size must be an integer, got True$"),
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, field, value, message):
+        # a spec built directly skipped parse's int(): trials=2.5 failed
+        # mid-run, trials=True ran one trial and s_size=2.0 failed inside
+        # run_experiment
+        spec = ExperimentSpec.parse(
+            "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=1\nseed=0\n"
+            "generate=thm4\ns_size=2\n"
+        )
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(spec, **{field: value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown spec key"):
             ExperimentSpec.parse("n=6\nbogus=1\n")
