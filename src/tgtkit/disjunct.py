@@ -275,6 +275,8 @@ _SAMPLE_BLOCK_BYTES = 1 << 16
 def _sample_digits(rng: random.Random, rows: int, n: int, p: float) -> str:
     """The ``rows * n`` digits, row by row, of entries that are 1 exactly when
     ``rng.random() < p``, drawing the same words as that many ``random()`` calls.
+    It samples designs, and (as one row of ``m`` entries) the Bernoulli draws
+    of :func:`~tgtkit.model.encode`'s ``m`` gap rows.
 
     ``random()`` is ``X / 2**53`` with ``X = (a >> 5) << 26 | (b >> 6)`` for two
     consecutive 32-bit words ``a`` and ``b``, and ``getrandbits(64 * m)`` holds
@@ -285,9 +287,8 @@ def _sample_digits(rng: random.Random, rows: int, n: int, p: float) -> str:
     """
     threshold = math.ceil(p * (1 << 53))
     top = threshold >> 45
-    table = bytes(
-        ord("1") if b < top else ord("?") if b == top else ord("0") for b in range(256)
-    )
+    # "1" below the top byte of T, "?" at it, "0" above (top is 256 at p = 1)
+    table = (b"1" * top + b"?" + b"0" * 255)[:256]
     block_rows = max(1, _SAMPLE_BLOCK_BYTES // (8 * n))
     out = []
     for start in range(0, rows, block_rows):

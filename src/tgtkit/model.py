@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
 
+from .disjunct import _sample_digits
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
-from .matrix import _mask_to_positions, _positions_to_mask
+from .matrix import _digits_to_mask, _mask_to_digits, _mask_to_positions, _positions_to_mask
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,18 @@ def _parse_rows(text: str, label: str, with_bits: bool) -> tuple:
     return tuple(sorted(entries))
 
 
+def _check_rows(rows, label: str) -> None:
+    """Reject a row that is not an integer (a bool included) or that repeats,
+    naming it as ``label`` in the error."""
+    seen: set[int] = set()
+    for row in rows:
+        if not isinstance(row, int) or isinstance(row, bool):
+            raise ValidationError(f"{label} {row!r} is not an integer")
+        if row in seen:
+            raise ValidationError(f"{label} {row} is listed twice")
+        seen.add(row)
+
+
 @dataclass(frozen=True)
 class GapPolicy:
     """Rule resolving outcomes of pools whose defective count is in the gap."""
@@ -111,9 +124,8 @@ class GapPolicy:
             raise ValidationError(f"bernoulli p must be a real number, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"bernoulli p must be in [0, 1], got {self.p}")
+        _check_rows([row for row, _ in self.overrides], "override row")
         for row, bit in self.overrides:
-            if not isinstance(row, int):
-                raise ValidationError(f"override row {row!r} is not an integer")
             if bit not in (0, 1):
                 raise ValidationError(f"override for row {row} must be 0/1")
 
@@ -160,8 +172,8 @@ class NoiseSpec:
             raise ValidationError(f"flip count must be an integer, got {self.count!r}")
         if self.count < 0:
             raise ValidationError("flip count must be non-negative")
-        if bad := [row for row in self.rows if not isinstance(row, int)]:
-            raise ValidationError(f"flip row {bad[0]!r} is not an integer")
+        # a repeated row would flip once but count twice in weight()
+        _check_rows(self.rows, "flip row")
 
     @classmethod
     def from_settings(cls, kind: str, rows_text: str = "", count: int = 0, seed: int = 0,
@@ -240,8 +252,11 @@ def encode(
     """Outcome vector of all tests for the given defective set.
 
     Gap rows take whatever ``policy`` dictates; the noise flips are applied
-    last.  Deterministic given the policy and noise seeds (Bernoulli draws
-    are consumed in row order, gap rows only).
+    last.  Deterministic given the policy and noise seeds: a Bernoulli gap
+    row is positive when ``random() < p``, one draw (one word pair of
+    ``random.Random(seed)``) per gap row, in row order.  The design sampler
+    :func:`~tgtkit.disjunct._sample_digits` takes all the draws at once, and
+    they replace the gap rows' digits of the outcome.
     """
     _check_thresholds(ell, u)
     t = matrix.rows
@@ -250,9 +265,13 @@ def encode(
     if policy.kind == "always_positive":
         positive |= gap
     elif policy.kind == "bernoulli":
-        rng = random.Random(policy.seed)
-        hits = [row for row in _mask_to_positions(gap, t) if rng.random() < policy.p]
-        positive |= _positions_to_mask(hits, t)
+        # the runs of non-gap digits, with the gap rows' draws between them
+        parts = _mask_to_digits(gap, t).split("1")
+        if m := len(parts) - 1:
+            digits = [""] * (2 * m + 1)
+            digits[::2] = parts
+            digits[1::2] = _sample_digits(random.Random(policy.seed), 1, m, policy.p)
+            positive |= _digits_to_mask("".join(digits))
     elif policy.kind == "explicit":
         override_map = dict(policy.overrides)
         for row in override_map:
@@ -265,8 +284,10 @@ def encode(
                 )
         missing = [r for r in _mask_to_positions(gap, t) if r not in override_map]
         if missing:
+            shown = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
             raise ValidationError(
-                f"explicit policy must cover every gap row; missing {missing}"
+                f"explicit policy must cover every gap row; missing "
+                f"{len(missing)} of {gap.bit_count()} gap rows: {shown}"
             )
         positive |= _positions_to_mask([r for r, bit in override_map.items() if bit], t)
 
@@ -274,7 +295,9 @@ def encode(
     flips = noise.rows if noise.kind == "flip_rows" else ()
     if noise.kind == "random_flips":
         flips = random.Random(noise.seed).sample(range(1, t + 1), noise.count)
-    return OutcomeVector(t, positive ^ _positions_to_mask(set(flips), t))
+    for row in flips:  # distinct, by NoiseSpec and by sample(): one XOR each
+        positive ^= 1 << (row - 1)
+    return OutcomeVector(t, positive)
 
 
 def check_consistency(

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgtkit import (
@@ -222,6 +223,26 @@ class TestSettingsBuilders:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: NoiseSpec("flip_rows", rows=(3, 3)), "flip row 3 is listed twice"),
+            (lambda: NoiseSpec("none", rows=(1, 2, 1)), "flip row 1 is listed twice"),
+            (lambda: NoiseSpec("flip_rows", rows=(True,)), "flip row True is not an integer"),
+            (lambda: GapPolicy("explicit", overrides=((1, 0), (1, 1))),
+             "override row 1 is listed twice"),
+            (lambda: GapPolicy("bernoulli", overrides=((2, 1), (2, 1))),
+             "override row 2 is listed twice"),
+            (lambda: GapPolicy("explicit", overrides=((True, 1),)),
+             "override row True is not an integer"),
+        ],
+    )
+    def test_repeated_or_bool_rows_are_rejected_with_the_spec(self, make, message):
+        # a repeated flip row flips once but counts twice in weight(), and a
+        # repeated override row would keep its last bit silently
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_numeric_settings_of_any_real_type_are_kept(self, golden_matrix):
         assert GapPolicy.bernoulli(1).p == 1
         assert GapPolicy.bernoulli(Fraction(1, 2), seed=3) == GapPolicy.bernoulli(0.5, seed=3)
@@ -397,8 +418,10 @@ def _encode_reference(matrix, defectives, ell, u, policy, noise):
                 )
         missing = [r for r in gap_rows if r not in override_map]
         if missing:
+            shown = ", ".join(str(r) for r in missing[:3]) + (", ..." if len(missing) > 3 else "")
             raise ValidationError(
-                f"explicit policy must cover every gap row; missing {missing}"
+                f"explicit policy must cover every gap row; missing "
+                f"{len(missing)} of {len(gap_rows)} gap rows: {shown}"
             )
     rng = random.Random(policy.seed)
     bits = []
@@ -489,7 +512,7 @@ def noise_spec(draw, t):
     """Any noise kind, with some flips past the last row."""
     kind = draw(st.sampled_from(NoiseSpec.KINDS))
     if kind == "flip_rows":
-        rows = draw(st.lists(st.integers(min_value=1, max_value=t + 1), max_size=4))
+        rows = draw(st.lists(st.integers(min_value=1, max_value=t + 1), max_size=4, unique=True))
         return NoiseSpec("flip_rows", rows=tuple(rows))
     count = draw(st.integers(min_value=0, max_value=t + 1))
     return NoiseSpec(kind, count=count, seed=draw(st.integers(min_value=0, max_value=999)))
@@ -523,6 +546,43 @@ def test_explicit_overrides_match_per_row_reference(data, case):
 def test_encode_matches_reference_past_the_int_digit_limit(data, case):
     # base-2 masks are exempt from the 4,300-digit limit on int/str conversion
     _assert_encode_matches_reference(data, case)
+
+
+#: gap probabilities at the edges of the sampler's byte table: 0 and 1, the
+#: top byte of p tying with draws (0.5, 2**-8 and 1 - 2**-53 sit on byte
+#: boundaries; "drawn" is the first gap row's own draw, tied on all 53
+#: bits), and a Fraction, which the draws are compared with exactly
+_EDGE_PROBABILITIES = [0.0, 1.0, 0.5, 2.0**-8, 1 - 2.0**-53, Fraction(1, 3), "drawn"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.integers(min_value=1, max_value=300),
+    all_gap=st.booleans(),
+    p=st.sampled_from(_EDGE_PROBABILITIES),
+    nudge=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(t=9000, all_gap=True, p=0.5, nudge=0, seed=1)
+@example(t=8193, all_gap=True, p="drawn", nudge=0, seed=2)
+@example(t=12000, all_gap=False, p=Fraction(1, 3), nudge=0, seed=3)
+@example(t=8500, all_gap=True, p=1.0, nudge=0, seed=4)
+@example(t=8500, all_gap=True, p=0.0, nudge=0, seed=5)
+def test_bernoulli_gap_draws_match_per_row_reference(t, all_gap, p, nudge, seed):
+    # defectives {1, 2} at ell=0, u=2: a row is a gap row when it pools
+    # exactly one of them, as every row of an all-gap design does; past
+    # 8,192 gap rows the draws still come from one getrandbits call
+    rng = random.Random(seed)
+    rows = tuple(rng.choice((1, 2) if all_gap else range(4)) | rng.getrandbits(2) << 2
+                 for _ in range(t))
+    matrix, defectives = BinaryMatrix(t, 4, rows), ItemSet.of([1, 2])
+    if all_gap:
+        assert len(gap_rows_for(matrix, defectives, 0, 2)) == t
+    if p == "drawn":
+        p = random.Random(seed).random()
+        p = math.nextafter(p, nudge * math.inf) if nudge else p
+    args = (matrix, defectives, 0, 2, GapPolicy.bernoulli(p, seed=seed), NoiseSpec.none())
+    assert encode(*args).bits == _encode_reference(*args).bits
 
 
 @settings(max_examples=300, deadline=None)
