@@ -418,7 +418,7 @@ def _encode_reference(matrix, defectives, ell, u, policy, noise):
                 )
         missing = [r for r in gap_rows if r not in override_map]
         if missing:
-            shown = ", ".join(str(r) for r in missing[:3]) + (", ..." if len(missing) > 3 else "")
+            shown = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
             raise ValidationError(
                 f"explicit policy must cover every gap row; missing "
                 f"{len(missing)} of {len(gap_rows)} gap rows: {shown}"
