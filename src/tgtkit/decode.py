@@ -460,10 +460,11 @@ def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]
     return g, 2 * g
 
 
-def _announce(params: TGTParams, algorithm: int) -> None:
-    """Reject an unknown algorithm and warn about the size conditions its
-    guarantee assumes (the decoders run regardless)."""
-    _envelope(algorithm, params, params.d)  # rejects an unknown algorithm
+def _announce(params: TGTParams, algorithm: int) -> tuple[int, int]:
+    """Reject an unknown algorithm, warn about the size conditions its
+    guarantee assumes (the decoders run regardless), and return its
+    envelope at ``|S| = d``."""
+    envelope = _envelope(algorithm, params, params.d)  # rejects an unknown algorithm
     w = w_bound(params.d, params.ell, params.u, params.g)
     if algorithm == 3 and w + params.d > params.n:
         warnings.warn(
@@ -476,12 +477,7 @@ def _announce(params: TGTParams, algorithm: int) -> None:
             "greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway",
             stacklevel=3,
         )
-
-
-def _underdetermined(params: TGTParams, algorithm: int) -> DecodeResult:
-    """The result when no edge exists: nothing recovered."""
-    fp, fn = _envelope(algorithm, params, params.d)
-    return DecodeResult(ItemSet(()), algorithm, fp, fn, underdetermined=True)
+    return envelope
 
 
 def _decode(
@@ -489,14 +485,16 @@ def _decode(
     edge_test: _EdgeOracle,
     params: TGTParams,
     algorithm: int,
+    envelope: tuple[int, int],
     step_cap: int,
 ) -> DecodeResult:
     """Run a checked algorithm on the family's edges, drawn in
     lexicographic order as far as it reads them, and ``edge_test``, which
-    answers ``T in edge_test`` for sorted ``u``-tuples ``T``."""
+    answers ``T in edge_test`` for sorted ``u``-tuples ``T``.  The result
+    carries ``envelope``, from :func:`_announce`; no edge recovers nothing."""
     first = next(edges, None)
     if first is None:
-        return _underdetermined(params, algorithm)
+        return DecodeResult(ItemSet(()), algorithm, *envelope, underdetermined=True)
     g = params.g
     if algorithm == 1:
         found = universe = tuple(range(1, params.n + 1))
@@ -504,8 +502,7 @@ def _decode(
         found = universe = tuple(sorted(_greedy_union((first, *edges), g)))
     if algorithm != 2:
         found = _swap_extend(first, edge_test, universe, params.d, g, step_cap)
-    fp, fn = _envelope(algorithm, params, params.d)
-    return DecodeResult(ItemSet.of(found), algorithm, fp, fn)
+    return DecodeResult(ItemSet.of(found), algorithm, *envelope)
 
 
 def decode_from_family(
@@ -524,8 +521,8 @@ def decode_from_family(
         raise ValidationError(f"family has u={family.u}, params have u={params.u}")
     if (top := max((edge[-1] for edge in family.edges), default=0)) > params.n:
         raise ValidationError(f"family has item {top} outside 1..{params.n}")
-    _announce(params, algorithm)
-    return _decode(iter(family.edges), family.edge_set, params, algorithm, step_cap)
+    envelope = _announce(params, algorithm)
+    return _decode(iter(family.edges), family.edge_set, params, algorithm, envelope, step_cap)
 
 
 def decode(
@@ -565,9 +562,9 @@ def decode(
         raise ValidationError(
             f"matrix has {matrix.cols} columns but params say n={params.n}"
         )
-    _announce(params, algorithm)
+    envelope = _announce(params, algorithm)
     tester = _EdgeTest(matrix, outcome, params.u, params.e, subset_cap)
-    return _decode(tester.edges(), tester, params, algorithm, step_cap)
+    return _decode(tester.edges(), tester, params, algorithm, envelope, step_cap)
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,9 @@ ROW_BOUNDS = {"thm1": rows_thm1, "thm4": rows_thm4, "thm5": rows_thm5}
 #: the schemes :func:`generate` can size a sample by
 SAMPLING_VARIANTS = ("thm4", "thm5")
 
+#: what a design can be drawn as: a sampling variant, or :func:`generate_verified`
+GENERATE_KINDS = (*SAMPLING_VARIANTS, "verified")
+
 
 #: bytes of random words drawn per ``getrandbits`` call in _sample_digits
 _SAMPLE_BLOCK_BYTES = 1 << 16
@@ -322,6 +325,22 @@ def _check_pair_cap(n: int, d: int, r: int, pair_cap: int) -> None:
         )
 
 
+def _sample_plan(n: int, d: int, u: int, z: int, kind: str, rows: Optional[int],
+                 pair_cap: int = VERIFY_PAIR_CAP) -> tuple[int, float]:
+    """``(rows, p)`` of a sample of ``kind`` (one of :data:`GENERATE_KINDS`),
+    after every check made before a draw.  ``rows`` defaults to the kind's
+    calculator; ``verified`` samples are sized by ``thm4`` and must also
+    verify within ``pair_cap``."""
+    params = BoundParams(n, d, u, z)
+    if rows is None:
+        rows = ROW_BOUNDS["thm4" if kind == "verified" else kind](n, d, u, z, strict=False)
+    _require_int("rows", rows)
+    if kind == "verified":
+        _check_pair_cap(n, d, u, pair_cap)
+    _check_entry_budget(rows, n)
+    return rows, params.p
+
+
 def generate(
     n: int,
     d: int,
@@ -342,13 +361,8 @@ def generate(
     """
     if variant not in SAMPLING_VARIANTS:
         raise ValidationError(f"unknown generation variant {variant!r}")
-    params = BoundParams(n, d, u, z)
-    if rows is None:
-        rows = ROW_BOUNDS[variant](n, d, u, z, strict=False)
-    _require_int("rows", rows)
-    _check_entry_budget(rows, n)
-    rng = random.Random(seed)
-    return BinaryMatrix._from_digits(rows, n, _sample_digits(rng, rows, n, params.p))
+    rows, p = _sample_plan(n, d, u, z, variant, rows)
+    return BinaryMatrix._from_digits(rows, n, _sample_digits(random.Random(seed), rows, n, p))
 
 
 @dataclass(frozen=True)
@@ -542,17 +556,10 @@ def generate_verified(
     calculator's value).
     """
     _require_int("max_attempts", max_attempts)
-    params = BoundParams(n, d, u, z)
-    if rows is None:
-        rows = rows_thm4(n, d, u, z, strict=False)
-    _require_int("rows", rows)
-    _check_pair_cap(n, d, u, pair_cap)
-    _check_entry_budget(rows, n)
+    rows, p = _sample_plan(n, d, u, z, "verified", rows, pair_cap)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
-        matrix = BinaryMatrix._from_digits(
-            rows, n, _sample_digits(rng, rows, n, params.p)
-        )
+        matrix = BinaryMatrix._from_digits(rows, n, _sample_digits(rng, rows, n, p))
         if verify_disjunct(matrix, d, u, z, pair_cap=pair_cap).ok:
             return GenerationResult(matrix, attempt)
     raise FeasibilityError(

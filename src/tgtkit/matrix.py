@@ -314,7 +314,8 @@ class OutcomeVector:
 
     def __post_init__(self) -> None:
         t, p = self.t, self.positives
-        if not (isinstance(t, int) and isinstance(p, int)) or t < 1 or p < 0 or p >> t:
+        ints = isinstance(t, int) and isinstance(p, int)
+        if not ints or isinstance(t, bool) or isinstance(p, bool) or t < 1 or p < 0 or p >> t:
             raise ValidationError(f"outcome mask {p} does not fit {t} tests")
 
     @classmethod

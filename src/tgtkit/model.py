@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
 
-from .disjunct import _sample_digits
+from .disjunct import _require_int, _sample_digits
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
 from .matrix import _digits_to_mask, _mask_to_digits, _mask_to_positions, _positions_to_mask
@@ -47,9 +47,7 @@ class TGTParams:
 
     def __post_init__(self) -> None:
         for name in ("n", "d", "ell", "u", "z"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
+            _require_int(name, getattr(self, name), None)
         if not 0 <= self.ell < self.u <= self.d < self.n:
             raise ValidationError(
                 f"need 0 <= ell < u <= d < n, got ell={self.ell} u={self.u} "
@@ -128,6 +126,7 @@ class GapPolicy:
         for row, bit in self.overrides:
             if bit not in (0, 1):
                 raise ValidationError(f"override for row {row} must be 0/1")
+        _require_int("seed", self.seed, None)
 
     @classmethod
     def from_settings(cls, kind: str, p: float = 0.5, rows_text: str = "", seed: int = 0,
@@ -174,6 +173,7 @@ class NoiseSpec:
             raise ValidationError("flip count must be non-negative")
         # a repeated row would flip once but count twice in weight()
         _check_rows(self.rows, "flip row")
+        _require_int("seed", self.seed, None)
 
     @classmethod
     def from_settings(cls, kind: str, rows_text: str = "", count: int = 0, seed: int = 0,

@@ -24,8 +24,7 @@ from typing import Optional
 
 from .decode import _known_algorithm, check_envelope, decode
 from .disjunct import (
-    ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, BoundParams, _check_entry_budget,
-    _check_pair_cap, _require_int, generate, generate_verified, rows_thm4,
+    GENERATE_KINDS, ROW_BOUNDS, _require_int, _sample_plan, generate, generate_verified,
 )
 from .errors import ValidationError
 from .matrix import BinaryMatrix, ItemSet
@@ -71,7 +70,7 @@ class SweepSpec:
         if len(set(self.schemes)) != len(self.schemes):
             raise ValidationError("duplicate schemes in sweep")
         for v in self.n_values + self.d_values + self.z_values:
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValidationError(f"grid values must be positive integers: {v!r}")
 
 
@@ -131,9 +130,6 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 # experiments
 
 
-#: generate kind -> the row-count calculator that sizes its samples
-_GEN_ROWS = {**{v: ROW_BOUNDS[v] for v in SAMPLING_VARIANTS}, "verified": rows_thm4}
-
 _EXPERIMENT_KEYS = {
     "n", "d", "ell", "u", "z", "algorithm", "trials", "seed",
     "matrix", "generate", "rows", "max_attempts",
@@ -172,12 +168,13 @@ class ExperimentSpec:
     random sets.  ``noise`` is ``none`` (default), ``flip_rows`` with
     ``noise_rows=row,...``, or ``random_flips`` with ``noise_count``.
     Rows are 1-based and a row listed twice is an error.  Every setting is
-    checked at parse time, whether or not its kind uses it; so is the size
-    of a ``generate=`` sample against the entry budget and, for
-    ``generate=verified``, its verification against the pair cap, with the
-    ``FeasibilityError`` that :func:`run_experiment` would raise.  The
-    Bernoulli-policy and random-noise seeds are derived per trial from
-    ``seed``.
+    checked at parse time, whether or not its kind uses it, and so are the
+    ``defectives=`` items against ``1..n``; with ``generate=``, so are the
+    sample's size against the entry budget, the noise rows and count against
+    its row count and, for ``generate=verified``, its verification against
+    the pair cap, each with the error that :func:`run_experiment` would
+    raise.  The Bernoulli-policy and random-noise seeds are derived per
+    trial from ``seed``.
     """
 
     params: TGTParams
@@ -203,7 +200,7 @@ class ExperimentSpec:
             raise ValidationError(
                 "exactly one of matrix=<path> or generate=<kind> is required"
             )
-        if self.generate_kind is not None and self.generate_kind not in _GEN_ROWS:
+        if self.generate_kind is not None and self.generate_kind not in GENERATE_KINDS:
             raise ValidationError(f"unknown generate kind {self.generate_kind!r}")
         if self.rows_override is not None:
             if self.matrix_path is not None:
@@ -227,17 +224,14 @@ class ExperimentSpec:
                 "policy=explicit needs defectives=<items>: its fixed rows cannot "
                 "cover the gap rows of the random sets that s_size= draws"
             )
+        # fail here, in run_experiment's order, on what generation or encode would reject
         if self.generate_kind is not None:
-            # fail here, not in run_experiment, on what generation would reject
             p = self.params
-            bound = (p.n, p.d - p.ell, p.u, p.z)
-            BoundParams(*bound)
-            rows = self.rows_override
-            if rows is None:
-                rows = _GEN_ROWS[self.generate_kind](*bound, strict=False)
-            if self.generate_kind == "verified":
-                _check_pair_cap(p.n, p.d - p.ell, p.u, VERIFY_PAIR_CAP)
-            _check_entry_budget(rows, p.n)
+            rows, _ = _sample_plan(p.n, p.d - p.ell, p.u, p.z, self.generate_kind,
+                                   self.rows_override)
+            _check_noise(self.noise, rows)
+        if self.defectives is not None:
+            self.defectives.to_mask(self.params.n)
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentSpec":

@@ -146,7 +146,8 @@ def test_outcome_entries_equal_to_0_or_1():
 def test_outcome_constructor_checks_the_mask():
     assert OutcomeVector(4, 0b0110) == OutcomeVector.parse("0110")
     assert OutcomeVector(1, 0) == OutcomeVector.from_bits([0])
-    for t, positives in ((4, 16), (4, -1), (0, 0), (-2, 0), (2.0, 1), (2, 1.0), ("3", 1)):
+    for t, positives in ((4, 16), (4, -1), (0, 0), (-2, 0), (2.0, 1), (2, 1.0), ("3", 1),
+                          (True, 1), (1, True), (True, False)):
         message = f"outcome mask {positives} does not fit {t} tests"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             OutcomeVector(t, positives)

@@ -196,6 +196,21 @@ class TestSettingsBuilders:
         with pytest.raises(ValidationError, match="unknown noise"):
             NoiseSpec.from_settings("loud")
 
+    @pytest.mark.parametrize("seed", [[1], 1.5, "7", True, None])
+    def test_seed_must_be_an_int(self, golden_matrix, golden_defectives, seed):
+        # seed=[1] was accepted, and escaped encode as a TypeError from random.Random
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        for build in (
+            lambda: GapPolicy.bernoulli(0.5, seed=seed),
+            lambda: GapPolicy.from_settings("always_negative", seed=seed),
+            lambda: NoiseSpec.random_flips(1, seed=seed),
+            lambda: NoiseSpec.from_settings("none", seed=seed),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                build()
+        outcome = encode(golden_matrix, golden_defectives, 0, 2, GapPolicy.bernoulli(0.5, seed=-4))
+        assert len(outcome) == golden_matrix.rows  # any int seeds, a negative one too
+
     def test_non_integer_flip_row_is_rejected_with_the_spec(self):
         message = r"^flip row 2\.0 is not an integer$"
         with pytest.raises(ValidationError, match=message):

@@ -116,6 +116,12 @@ class TestSimulateBounds:
         with pytest.raises(ValidationError):
             SweepSpec(schemes=("thm2",))
 
+    @pytest.mark.parametrize("axis", ["n_values", "d_values", "z_values"])
+    def test_bool_grid_values_rejected(self, axis):
+        # n_values=(True,) ran, and its CSV rows read n=True
+        with pytest.raises(ValidationError, match="^grid values must be positive integers: True$"):
+            SweepSpec(**{axis: (True,)})
+
     def test_empty_schemes_rejected(self):
         with pytest.raises(ValidationError, match="^sweep schemes must be non-empty$"):
             SweepSpec(schemes=())
@@ -317,6 +323,54 @@ class TestExperimentSpec:
         path.write_text(text)
         assert main(["experiment", "--spec", str(path)]) == 2
         assert str(expected.value) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind_text, matrix",
+        [
+            ("generate=thm4\n", lambda: generate(8, 3, 2, 1, 0)),
+            # verified samples are sized by thm4 too
+            ("generate=verified\n", lambda: generate_verified(8, 3, 2, 1, 0).matrix),
+            ("generate=thm5\nrows=30\n", lambda: generate(8, 3, 2, 1, 0, "thm5", rows=30)),
+        ],
+    )
+    def test_noise_checked_against_generated_rows_at_parse(self, kind_text, matrix):
+        # trials=0: parsing must raise what run_experiment's noise check would
+        base = "n=8\nd=3\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\ns_size=2\n"
+        design = matrix()
+        t = design.rows
+        for noise_text, noise in (
+            (f"noise=random_flips\nnoise_count={t + 1}\n", NoiseSpec.random_flips(t + 1)),
+            (f"noise=flip_rows\nnoise_rows=1,{t + 1}\n", NoiseSpec.flip_rows([1, t + 1])),
+        ):
+            with pytest.raises(ValidationError) as expected:
+                encode(design, ItemSet.of([1, 2]), 0, 2, GapPolicy.always_negative(), noise)
+            message = f"^{re.escape(str(expected.value))}$"
+            with pytest.raises(ValidationError, match=message):
+                ExperimentSpec.parse(base + kind_text + noise_text)
+        ExperimentSpec.parse(base + kind_text + f"noise=random_flips\nnoise_count={t}\n")
+        ExperimentSpec.parse(base + kind_text + f"noise=flip_rows\nnoise_rows={t}\n")
+        # a kind that does not use a setting does not bound it
+        ExperimentSpec.parse(base + kind_text + f"noise=none\nnoise_count={t + 1}\n")
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    @pytest.mark.parametrize("source", ["matrix={path}\n", "generate=thm4\n"])
+    def test_defectives_range_checked_at_parse(self, golden_file, tmp_path, capsys,
+                                               trials, source):
+        # trials=0 never reached encode, so out-of-range defectives ran clean
+        text = (
+            f"n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials={trials}\nseed=0\n"
+            "defectives=1,9\n" + source.format(path=golden_file)
+        )
+        with pytest.raises(ValidationError) as expected:
+            encode(BinaryMatrix.load(golden_file), ItemSet.parse("1,9"), 0, 2,
+                   GapPolicy.always_negative())
+        assert str(expected.value) == "item index 9 out of range 1..6"
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+            ExperimentSpec.parse(text)
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        assert main(["experiment", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
 
     def test_rows_override_runs_below_the_thm5_threshold(self):
         spec = ExperimentSpec.parse(
