@@ -26,7 +26,7 @@ from functools import partial
 
 from .decode import w_bound
 from .disjunct import rows_thm1, rows_thm4
-from .errors import ValidationError
+from .errors import ValidationError, _require_int
 from .model import TGTParams
 
 
@@ -79,6 +79,7 @@ def complexity(
     params = TGTParams(n, d, ell, u, z)
     if s_size is None:
         s_size = d
+    _require_int("s_size", s_size, None)
     if not 0 <= s_size <= d:
         raise ValidationError(f"s_size must be in 0..d, got {s_size}")
     rows, pool_rule = _FORMULAS[formula]
@@ -106,6 +107,7 @@ class AppendixGapReport:
 def appendix_threshold(u: int) -> int:
     """Smallest admissible ``n`` for :func:`appendix_gap_check`:
     ``ceil(8 (2u - 1) / (8 - sqrt(7)))``."""
+    _require_int("u", u, None)
     if u < 2:
         raise ValidationError(f"u must be >= 2, got {u}")
     return math.ceil(8 * (2 * u - 1) / (8 - math.sqrt(7)))
@@ -121,6 +123,7 @@ def appendix_gap_check(u: int, n: int) -> AppendixGapReport:
     cannot be dropped from the ``thm3``/``thm6`` totals.
     """
     minimum = appendix_threshold(u)
+    _require_int("n", n, None)
     if n < minimum:
         raise ValidationError(
             f"n={n} below the regime threshold {minimum} for u={u}"

@@ -17,7 +17,7 @@ from .disjunct import (
     verify_disjunct,
 )
 from .errors import EnvelopeDefectError, TGTError, ValidationError
-from .matrix import BinaryMatrix, ItemSet, OutcomeVector
+from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _write_text
 from .model import GapPolicy, NoiseSpec, TGTParams, encode
 from .simulate import (
     DEFAULT_D_VALUES,
@@ -158,8 +158,7 @@ def _cmd_simulate_bounds(args) -> int:
     if args.out == "-":
         sys.stdout.write(csv_text)
     else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
+        _write_text(args.out, csv_text, "CSV")
         print(f"wrote {csv_text.count(chr(10)) - 1} rows to {args.out}")
     return 0
 

@@ -65,8 +65,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Protocol
 
-from .disjunct import _require_int
-from .errors import FeasibilityError, ValidationError
+from .errors import FeasibilityError, ValidationError, _require_int
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
 from .model import TGTParams, _check_outcome_length
 
@@ -80,14 +79,13 @@ EXTENSION_STEP_CAP = 10_000_000
 ALGORITHMS = (1, 2, 3)
 
 
-def _known_algorithm(algorithm: object) -> bool:
-    """Whether ``algorithm`` is one of :data:`ALGORITHMS` as an ``int``
-    (``True`` and ``1.0`` compare equal to 1 but are not algorithm numbers)."""
-    return (
-        isinstance(algorithm, int)
-        and not isinstance(algorithm, bool)
-        and algorithm in ALGORITHMS
-    )
+def _check_algorithm(algorithm: int) -> None:
+    """Reject an ``algorithm`` that is not one of :data:`ALGORITHMS` as an
+    ``int`` (``True`` and ``1.0`` compare equal to 1 but are not algorithm
+    numbers)."""
+    _require_int("algorithm", algorithm, None)
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm} (expected 1, 2 or 3)")
 
 
 class _EdgeOracle(Protocol):
@@ -117,7 +115,10 @@ class Family:
     edge_set: _EdgeSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_int("u", self.u)
         for edge in self.edges:
+            for item in edge:
+                _require_int("edge item", item, None)
             if len(edge) != self.u or tuple(sorted(set(edge))) != edge:
                 raise ValidationError(f"edge {edge} is not a sorted {self.u}-subset")
             if edge and edge[0] < 1:
@@ -249,6 +250,9 @@ class _EdgeTest:
 
 def is_u_complete(family: Family, items: Iterable[int]) -> bool:
     """Whether every ``u``-subset of ``items`` is an edge of the family."""
+    items = tuple(items)
+    for item in items:
+        _require_int("item", item, None)
     members = sorted(set(items))
     if len(members) < family.u:
         raise ValidationError(
@@ -260,6 +264,8 @@ def is_u_complete(family: Family, items: Iterable[int]) -> bool:
 def w_bound(s_size: int, ell: int, u: int, g: int) -> int:
     """False-positive envelope of algorithm 2:
     ``(floor(s_size / (ell + 1)) + u - 1) * g``."""
+    for name, value in (("s_size", s_size), ("ell", ell), ("u", u), ("g", g)):
+        _require_int(name, value, None)
     if ell < 0 or u < 1 or s_size < 0:
         raise ValidationError("need ell >= 0, u >= 1, s_size >= 0")
     if g != u - ell - 1:
@@ -441,8 +447,8 @@ def _greedy_union(edges: tuple[tuple[int, ...], ...], g: int) -> set[int]:
     for edge in edges:  # phase A: disjoint edges
         if current.isdisjoint(edge):
             current.update(edge)
-    for edge in edges:  # phase B: edges adding >= g + 1 new items
-        if len(set(edge) - current) >= g + 1:
+    for edge in edges:  # phase B: edges adding >= g + 1 new items (their items are distinct)
+        if len(current.intersection(edge)) < len(edge) - g:
             current.update(edge)
     return current
 
@@ -450,8 +456,7 @@ def _greedy_union(edges: tuple[tuple[int, ...], ...], g: int) -> set[int]:
 def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]:
     """The (false-positive, false-negative) envelope of an algorithm when
     the defective set has ``s_size`` items (only algorithm 2 depends on it)."""
-    if not _known_algorithm(algorithm):
-        raise ValidationError(f"unknown algorithm {algorithm!r} (expected 1, 2 or 3)")
+    _check_algorithm(algorithm)
     g = params.g
     if algorithm == 1:
         return g, g

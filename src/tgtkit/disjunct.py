@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import FeasibilityError, ValidationError
+from .errors import FeasibilityError, ValidationError, _require_int
 from .matrix import BinaryMatrix, ItemSet
 
 #: refuse to materialize random matrices above this many entries
@@ -57,15 +57,6 @@ _LN10 = math.log(10.0)
 #: zeros-sets of a ones-set in verify_disjunct, the k-subsets of a node in
 #: _can_cover
 _DIRECT_COMPLETIONS = 64
-
-
-def _require_int(name: str, value: int, minimum: Optional[int] = 1) -> None:
-    """Reject a non-int ``value`` (bools too) and, unless ``minimum`` is
-    None, one below ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def alpha(k: int, u: int, n: int) -> float:
@@ -362,6 +353,7 @@ def generate(
     if variant not in SAMPLING_VARIANTS:
         raise ValidationError(f"unknown generation variant {variant!r}")
     rows, p = _sample_plan(n, d, u, z, variant, rows)
+    _require_int("seed", seed, None)
     return BinaryMatrix._from_digits(rows, n, _sample_digits(random.Random(seed), rows, n, p))
 
 
@@ -557,6 +549,7 @@ def generate_verified(
     """
     _require_int("max_attempts", max_attempts)
     rows, p = _sample_plan(n, d, u, z, "verified", rows, pair_cap)
+    _require_int("seed", seed, None)
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         matrix = BinaryMatrix._from_digits(rows, n, _sample_digits(rng, rows, n, p))

@@ -30,7 +30,7 @@ from itertools import compress, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_int
 
 #: maps binary digits to their values ("1" -> 1)
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -40,6 +40,24 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: writes into it (97,847 x 200 on a 2-vCPU Xeon, Python 3.11: about 230 ms
 #: unblocked, 110-130 ms in blocks)
 _TEXT_BLOCK_ROWS = 4096
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    """The text of an ASCII file, or a :class:`ValidationError` naming it as
+    a ``what`` file when it cannot be read or is not ASCII."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _write_text(path: str | Path, text: str, what: str) -> None:
+    """Write ASCII ``text`` to a file, or raise a :class:`ValidationError`
+    naming it as a ``what`` file when it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} file {path}: {exc}") from None
 
 
 def _digits_to_mask(digits: str | bytes) -> int:
@@ -77,8 +95,7 @@ class ItemSet:
 
     def __post_init__(self) -> None:
         for m in self.members:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ValidationError(f"item index {m!r} must be a positive integer")
+            _require_int("item index", m)
         if list(self.members) != sorted(set(self.members)):
             raise ValidationError("item set members must be sorted and distinct")
 
@@ -107,11 +124,13 @@ class ItemSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "ItemSet":
+        _require_int("item mask", mask, None)
         if mask < 0:
             raise ValidationError(f"item mask {mask} is negative")
         return cls(tuple(_mask_to_positions(mask, mask.bit_length())))
 
     def to_mask(self, n: int) -> int:
+        _require_int("n", n, None)
         for m in self.members:  # sorted: the first one past n is reported
             if m > n:
                 raise ValidationError(f"item index {m} out of range 1..{n}")
@@ -206,15 +225,18 @@ class BinaryMatrix:
     col_masks: tuple[int, ...]
 
     def __init__(self, rows: int, cols: int, row_masks: Sequence[int]) -> None:
+        _require_int("rows", rows, None)
+        _require_int("cols", cols, None)
         if rows < 1 or cols < 1:
             raise ValidationError("matrix dimensions must be positive")
         if len(row_masks) != rows:
             raise ValidationError(f"expected {rows} row masks, got {len(row_masks)}")
         row_masks = tuple(row_masks)
-        if min(row_masks) < 0 or max(row_masks) >> cols:
-            for i, mask in enumerate(row_masks):
+        if set(map(type, row_masks)) != {int} or min(row_masks) < 0 or max(row_masks) >> cols:
+            for i, mask in enumerate(row_masks, 1):
+                _require_int(f"row {i} mask", mask, None)
                 if mask < 0 or mask >> cols:
-                    raise ValidationError(f"row {i + 1} has bits outside 1..{cols}")
+                    raise ValidationError(f"row {i} has bits outside 1..{cols}")
         self.__dict__.update(
             rows=rows, cols=cols, col_masks=_transpose(row_masks, cols), _row_masks=row_masks
         )
@@ -267,11 +289,7 @@ class BinaryMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "BinaryMatrix":
-        try:
-            text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
-            raise ValidationError(f"cannot read matrix file {path}: {exc}") from None
-        return cls.parse(text)
+        return cls.parse(_read_text(path, "matrix"))
 
     def to_text(self) -> str:
         t, n = self.rows, self.cols
@@ -285,21 +303,25 @@ class BinaryMatrix:
         return f"{t} {n}\n" + body.decode()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="ascii")
+        _write_text(path, self.to_text(), "matrix")
 
     def entry(self, row: int, col: int) -> int:
         """Entry at 1-based (row, col)."""
+        _require_int("row", row, None)
+        _require_int("col", col, None)
         if not (1 <= row <= self.rows and 1 <= col <= self.cols):
             raise ValidationError(f"entry ({row}, {col}) out of range")
         return self.col_masks[col - 1] >> (row - 1) & 1
 
     def row_support(self, row: int) -> tuple[int, ...]:
         """1-based items pooled by the given 1-based test."""
+        _require_int("row", row, None)
         if not 1 <= row <= self.rows:
             raise ValidationError(f"row {row} out of range 1..{self.rows}")
         return tuple(j for j, col in enumerate(self.col_masks, 1) if col >> (row - 1) & 1)
 
     def column_weight(self, col: int) -> int:
+        _require_int("col", col, None)
         if not 1 <= col <= self.cols:
             raise ValidationError(f"column {col} out of range 1..{self.cols}")
         return self.col_masks[col - 1].bit_count()
@@ -314,8 +336,9 @@ class OutcomeVector:
 
     def __post_init__(self) -> None:
         t, p = self.t, self.positives
-        ints = isinstance(t, int) and isinstance(p, int)
-        if not ints or isinstance(t, bool) or isinstance(p, bool) or t < 1 or p < 0 or p >> t:
+        _require_int("t", t)
+        _require_int("positives", p, 0)
+        if p >> t:
             raise ValidationError(f"outcome mask {p} does not fit {t} tests")
 
     @classmethod
@@ -338,11 +361,7 @@ class OutcomeVector:
 
     @classmethod
     def load(cls, path: str | Path) -> "OutcomeVector":
-        try:
-            text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
-            raise ValidationError(f"cannot read outcome file {path}: {exc}") from None
-        return cls.parse(text)
+        return cls.parse(_read_text(path, "outcome"))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -358,11 +377,13 @@ class OutcomeVector:
         return _mask_to_digits(self.positives, self.t) + "\n"
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="ascii")
+        _write_text(path, self.to_text(), "outcome")
 
     def flipped(self, rows: Iterable[int]) -> "OutcomeVector":
-        """Copy with the given 1-based rows flipped."""
-        rows = set(rows)
+        """Copy with the given 1-based rows flipped; a row listed twice flips once."""
+        rows = tuple(rows)
+        for r in rows:
+            _require_int("flip row", r, None)
         if outside := [r for r in sorted(rows) if not 1 <= r <= self.t]:
             raise ValidationError(f"flip row {outside[0]} out of range 1..{self.t}")
         return OutcomeVector(self.t, self.positives ^ _positions_to_mask(rows, self.t))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
 
-from .disjunct import _require_int, _sample_digits
-from .errors import ValidationError
+from .disjunct import _sample_digits
+from .errors import ValidationError, _require_int
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector
 from .matrix import _digits_to_mask, _mask_to_digits, _mask_to_positions, _positions_to_mask
 
@@ -97,8 +97,7 @@ def _check_rows(rows, label: str) -> None:
     naming it as ``label`` in the error."""
     seen: set[int] = set()
     for row in rows:
-        if not isinstance(row, int) or isinstance(row, bool):
-            raise ValidationError(f"{label} {row!r} is not an integer")
+        _require_int(label, row, None)
         if row in seen:
             raise ValidationError(f"{label} {row} is listed twice")
         seen.add(row)
@@ -167,10 +166,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown noise spec {self.kind!r}")
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
-            raise ValidationError(f"flip count must be an integer, got {self.count!r}")
-        if self.count < 0:
-            raise ValidationError("flip count must be non-negative")
+        _require_int("flip count", self.count, 0)
         # a repeated row would flip once but count twice in weight()
         _check_rows(self.rows, "flip row")
         _require_int("seed", self.seed, None)
@@ -205,6 +201,8 @@ class NoiseSpec:
 
 
 def _check_thresholds(ell: int, u: int) -> None:
+    _require_int("ell", ell, None)
+    _require_int("u", u, None)
     if not 0 <= ell < u:
         raise ValidationError(f"need 0 <= ell < u, got ell={ell} u={u}")
 

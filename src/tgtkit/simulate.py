@@ -19,15 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional
 
-from .decode import _known_algorithm, check_envelope, decode
-from .disjunct import (
-    GENERATE_KINDS, ROW_BOUNDS, _require_int, _sample_plan, generate, generate_verified,
-)
-from .errors import ValidationError
-from .matrix import BinaryMatrix, ItemSet
+from .decode import _check_algorithm, check_envelope, decode
+from .disjunct import GENERATE_KINDS, ROW_BOUNDS, _sample_plan, generate, generate_verified
+from .errors import ValidationError, _require_int
+from .matrix import BinaryMatrix, ItemSet, _read_text
 from .model import GapPolicy, NoiseSpec, TGTParams, _check_noise, encode
 
 DEFAULT_N_VALUES = (10**6, 10**8, 10**9, 10**10, 10**11)
@@ -70,8 +67,7 @@ class SweepSpec:
         if len(set(self.schemes)) != len(self.schemes):
             raise ValidationError("duplicate schemes in sweep")
         for v in self.n_values + self.d_values + self.z_values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValidationError(f"grid values must be positive integers: {v!r}")
+            _require_int("grid value", v)
 
 
 @dataclass(frozen=True)
@@ -192,8 +188,7 @@ class ExperimentSpec:
     verified: bool = False
 
     def __post_init__(self) -> None:
-        if not _known_algorithm(self.algorithm):
-            raise ValidationError(f"algorithm must be 1, 2 or 3, got {self.algorithm!r}")
+        _check_algorithm(self.algorithm)
         _require_int("trials", self.trials, 0)
         _require_int("seed", self.seed, None)
         if (self.matrix_path is None) == (self.generate_kind is None):
@@ -202,6 +197,8 @@ class ExperimentSpec:
             )
         if self.generate_kind is not None and self.generate_kind not in GENERATE_KINDS:
             raise ValidationError(f"unknown generate kind {self.generate_kind!r}")
+        if self.generate_kind == "verified":  # the sample is checked to be disjunct
+            object.__setattr__(self, "verified", True)
         if self.rows_override is not None:
             if self.matrix_path is not None:
                 raise ValidationError(
@@ -275,8 +272,6 @@ class ExperimentSpec:
                 f"got {verified_text!r}"
             )
         verified = _VERIFIED_WORDS[verified_text.lower()]
-        if kv.get("generate") == "verified":
-            verified = True
         try:
             bernoulli_p = float(kv.get("bernoulli_p", "0.5"))
         except ValueError:
@@ -305,11 +300,7 @@ class ExperimentSpec:
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
-        try:
-            text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
-            raise ValidationError(f"cannot read spec file {path}: {exc}") from None
-        return cls.parse(text)
+        return cls.parse(_read_text(path, "spec"))
 
 
 @dataclass(frozen=True)

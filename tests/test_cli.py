@@ -341,6 +341,51 @@ class TestSimulateAndExperiment:
         assert message in err
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "command, flag, what",
+        [("verify", "--matrix", "matrix"), ("experiment", "--spec", "spec")],
+    )
+    def test_non_ascii_file_is_exit_1(self, capsys, tmp_path, command, flag, what):
+        # a UnicodeDecodeError traceback before
+        path = tmp_path / "caf\u00e9.txt"
+        path.write_text("n=6 \u00e9\n", encoding="utf-8")
+        extra = ("--d", 2, "--r", 1, "--z", 1) if command == "verify" else ()
+        code, out, err = run(capsys, command, flag, path, *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {what} file {path}: 'ascii' codec can't decode")
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (("gen", "--n", 6, "--d", 4, "--u", 2, "--z", 1, "--seed", 0), "matrix"),
+            (("simulate-bounds", "--d-values", "20", "--z-values", "3",
+              "--n-values", "1000000"), "CSV"),
+        ],
+        ids=["gen", "simulate-bounds"],
+    )
+    def test_unwritable_out_is_exit_1(self, capsys, tmp_path, argv, what):
+        # a FileNotFoundError traceback before
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {what} file {path}: [Errno 2] ")
+        assert not path.parent.exists()
+
+    def test_unwritable_outcome_is_exit_1(self, capsys, golden_files, tmp_path):
+        matrix, _ = golden_files
+        path = tmp_path / "missing" / "y.txt"
+        code, out, err = run(
+            capsys, "encode", "--matrix", matrix, "--defectives", "1,2", "--ell", 0,
+            "--u", 2, "--policy", "always_negative", "--out", path,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write outcome file {path}: [Errno 2] ")
+
+
 class TestArgumentErrors:
     def test_bad_flag_value_is_exit_1(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "ten", "--d", 4, "--u", 2,

@@ -80,6 +80,10 @@ def test_matrix_constructor_checks_the_masks():
         BinaryMatrix(2, 3, (1,))
     with pytest.raises(ValidationError, match="^matrix dimensions must be positive$"):
         BinaryMatrix(1, 0, (0,))
+    # a mask past the first row is checked too (the sizes and the first
+    # mask are cases of test_errors.py)
+    with pytest.raises(ValidationError, match=r"^row 2 mask must be an integer, got 1\.0$"):
+        BinaryMatrix(2, 3, (1, 1.0))
 
 
 def test_matrix_from_bits_matches_parse():
@@ -146,9 +150,18 @@ def test_outcome_entries_equal_to_0_or_1():
 def test_outcome_constructor_checks_the_mask():
     assert OutcomeVector(4, 0b0110) == OutcomeVector.parse("0110")
     assert OutcomeVector(1, 0) == OutcomeVector.from_bits([0])
-    for t, positives in ((4, 16), (4, -1), (0, 0), (-2, 0), (2.0, 1), (2, 1.0), ("3", 1),
-                          (True, 1), (1, True), (True, False)):
-        message = f"outcome mask {positives} does not fit {t} tests"
+    for t, positives, message in (
+        (4, 16, "outcome mask 16 does not fit 4 tests"),
+        (4, -1, "positives must be >= 0, got -1"),
+        (0, 0, "t must be >= 1, got 0"),
+        (-2, 0, "t must be >= 1, got -2"),
+        (2.0, 1, "t must be an integer, got 2.0"),
+        (2, 1.0, "positives must be an integer, got 1.0"),
+        ("3", 1, "t must be an integer, got '3'"),
+        (True, 1, "t must be an integer, got True"),
+        (1, True, "positives must be an integer, got True"),
+        (True, False, "t must be an integer, got True"),
+    ):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             OutcomeVector(t, positives)
     for empty in ((), iter(())):

@@ -187,11 +187,11 @@ class TestSettingsBuilders:
             GapPolicy.from_settings("always_negative", p=1.5)
         with pytest.raises(ValidationError, match="twice"):
             GapPolicy.from_settings("bernoulli", rows_text="1:1,1:1")
-        with pytest.raises(ValidationError, match="non-negative"):
+        with pytest.raises(ValidationError, match="must be >= 0"):
             NoiseSpec.from_settings("none", count=-1)
         with pytest.raises(ValidationError, match="unknown gap policy"):
             GapPolicy.from_settings("sometimes")
-        with pytest.raises(ValidationError, match=r"^override row 2\.0 is not an integer$"):
+        with pytest.raises(ValidationError, match=r"^override row must be an integer, got 2\.0$"):
             GapPolicy.explicit({2.0: 1})
         with pytest.raises(ValidationError, match="unknown noise"):
             NoiseSpec.from_settings("loud")
@@ -212,7 +212,7 @@ class TestSettingsBuilders:
         assert len(outcome) == golden_matrix.rows  # any int seeds, a negative one too
 
     def test_non_integer_flip_row_is_rejected_with_the_spec(self):
-        message = r"^flip row 2\.0 is not an integer$"
+        message = r"^flip row must be an integer, got 2\.0$"
         with pytest.raises(ValidationError, match=message):
             NoiseSpec.flip_rows([2.0])
         with pytest.raises(ValidationError, match=message):
@@ -243,13 +243,13 @@ class TestSettingsBuilders:
         [
             (lambda: NoiseSpec("flip_rows", rows=(3, 3)), "flip row 3 is listed twice"),
             (lambda: NoiseSpec("none", rows=(1, 2, 1)), "flip row 1 is listed twice"),
-            (lambda: NoiseSpec("flip_rows", rows=(True,)), "flip row True is not an integer"),
+            (lambda: NoiseSpec("flip_rows", rows=(True,)), "flip row must be an integer, got True"),
             (lambda: GapPolicy("explicit", overrides=((1, 0), (1, 1))),
              "override row 1 is listed twice"),
             (lambda: GapPolicy("bernoulli", overrides=((2, 1), (2, 1))),
              "override row 2 is listed twice"),
             (lambda: GapPolicy("explicit", overrides=((True, 1),)),
-             "override row True is not an integer"),
+             "override row must be an integer, got True"),
         ],
     )
     def test_repeated_or_bool_rows_are_rejected_with_the_spec(self, make, message):

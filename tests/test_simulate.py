@@ -26,6 +26,7 @@ from tgtkit import (
     NoiseSpec,
     OutcomeVector,
     SweepSpec,
+    TGTParams,
     ValidationError,
     decode,
     encode,
@@ -119,7 +120,7 @@ class TestSimulateBounds:
     @pytest.mark.parametrize("axis", ["n_values", "d_values", "z_values"])
     def test_bool_grid_values_rejected(self, axis):
         # n_values=(True,) ran, and its CSV rows read n=True
-        with pytest.raises(ValidationError, match="^grid values must be positive integers: True$"):
+        with pytest.raises(ValidationError, match="^grid value must be an integer, got True$"):
             SweepSpec(**{axis: (True,)})
 
     def test_empty_schemes_rejected(self):
@@ -174,12 +175,30 @@ class TestExperimentSpec:
         assert spec.policy.kind == "explicit"
         assert spec.verified
 
-    @pytest.mark.parametrize("algorithm", [True, 1.0, "1", 4])
-    def test_algorithm_must_be_an_int(self, golden_file, algorithm):
+    def test_generate_verified_implies_verified(self):
+        # built in code, or replaced with verified=False, the spec kept
+        # verified=False, so its report never flagged a DEFECT
+        spec = ExperimentSpec(
+            TGTParams(6, 4, 0, 2, 1), algorithm=1, trials=0, seed=0,
+            generate_kind="verified", defectives=ItemSet.of([1, 2]),
+        )
+        assert spec.verified
+        assert dataclasses.replace(spec, verified=False).verified
+        assert not dataclasses.replace(spec, generate_kind="thm4", verified=False).verified
+
+    @pytest.mark.parametrize(
+        "algorithm, message",
+        [
+            (True, r"^algorithm must be an integer, got True$"),
+            (1.0, r"^algorithm must be an integer, got 1\.0$"),
+            ("1", r"^algorithm must be an integer, got '1'$"),
+            (4, r"^unknown algorithm 4 \(expected 1, 2 or 3\)$"),
+        ],
+    )
+    def test_algorithm_must_be_an_int(self, golden_file, algorithm, message):
         # dataclasses.replace(spec, algorithm=True) ran, and the report
         # printed algorithm=True
         spec = ExperimentSpec.parse(GOLDEN_SPEC.format(matrix=golden_file))
-        message = rf"^algorithm must be 1, 2 or 3, got {re.escape(repr(algorithm))}$"
         with pytest.raises(ValidationError, match=message):
             dataclasses.replace(spec, algorithm=algorithm)
 
@@ -245,7 +264,7 @@ class TestExperimentSpec:
         "settings_text, message",
         [
             ("defectives=1,2\npolicy=bernoulli\nbernoulli_p=2\n", "bernoulli p"),
-            ("defectives=1,2\nnoise=random_flips\nnoise_count=-1\n", "non-negative"),
+            ("defectives=1,2\nnoise=random_flips\nnoise_count=-1\n", "must be >= 0"),
             ("defectives=1,2\npolicy=explicit\npolicy_rows=1:7\n", "row 1 must be 0/1"),
             ("s_size=2\npolicy=explicit\npolicy_rows=1:1\n", "needs defectives="),
             ("defectives=1,2\nmax_attempts=-5\n", r"max_attempts must be >= 1, got -5"),
