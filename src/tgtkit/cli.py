@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from .analysis import FORMULA_IDS, appendix_gap_check, complexity
@@ -16,7 +17,9 @@ from .disjunct import (
     ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, generate, generate_verified,
     verify_disjunct,
 )
-from .errors import EnvelopeDefectError, TGTError, ValidationError
+from .errors import (
+    EnvelopeDefectError, TGTError, ValidationError, _parse_int, _parse_ints, _parse_real,
+)
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _write_text
 from .model import GapPolicy, NoiseSpec, TGTParams, encode
 from .simulate import (
@@ -39,11 +42,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValidationError(f"cannot parse {what} list {text!r}") from None
+def _int_flags(parser: argparse.ArgumentParser, required: str, **defaults) -> None:
+    """Declare the ``required`` flags (space-separated) and the ``defaults``
+    (``max_attempts`` is ``--max-attempts``), each read by ``_parse_int``
+    under its own name; its ``ValidationError`` passes through argparse."""
+    for name in required.split():
+        parser.add_argument(f"--{name}", type=partial(_parse_int, f"--{name}"), required=True)
+    for name, default in defaults.items():
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=partial(_parse_int, flag), default=default)
 
 
 def _cmd_gen(args) -> int:
@@ -149,9 +156,9 @@ def _cmd_appendix_check(args) -> int:
 
 def _cmd_simulate_bounds(args) -> int:
     spec = SweepSpec(
-        n_values=_int_list(args.n_values, "n"),
-        d_values=_int_list(args.d_values, "d"),
-        z_values=_int_list(args.z_values, "z"),
+        n_values=_parse_ints("--n-values", args.n_values),
+        d_values=_parse_ints("--d-values", args.d_values),
+        z_values=_parse_ints("--z-values", args.z_values),
         schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
     )
     csv_text = sweep_to_csv(simulate_bounds(spec))
@@ -179,79 +186,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample a randomized pooling matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _int_flags(p, "n d u z seed", rows=None, max_attempts=100)
     p.add_argument("--variant", choices=SAMPLING_VARIANTS, default=None,
-                   help="row-count scheme to sample (default thm4; not with --verify)")
-    p.add_argument("--rows", type=int, default=None,
-                   help="override the variant's row count")
+                   help="row-count scheme to sample (default thm4; not with --verify); "
+                   "--rows overrides its row count")
     p.add_argument("--verify", action="store_true",
                    help="rejection-sample until the matrix verifies")
-    p.add_argument("--max-attempts", type=int, default=100)
     p.add_argument("--out", default="-", help="matrix file (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="decide disjunctness exactly; on failure print "
                        "the lexicographically first failing pair")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--cap", type=int, default=VERIFY_PAIR_CAP)
+    _int_flags(p, "d r z", cap=VERIFY_PAIR_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="row-count bounds for all three schemes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
+    _int_flags(p, "n d u z")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("encode", help="outcome vector for a defective set")
     p.add_argument("--matrix", required=True)
     p.add_argument("--defectives", required=True,
                    help="comma-separated 1-based items (empty for none)")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
+    _int_flags(p, "ell u", policy_seed=0, noise_count=0, noise_seed=0)
     p.add_argument("--policy", required=True, choices=GapPolicy.KINDS)
-    p.add_argument("--bernoulli-p", type=float, default=0.5)
-    p.add_argument("--policy-seed", type=int, default=0)
+    p.add_argument("--bernoulli-p", type=partial(_parse_real, "--bernoulli-p"), default=0.5)
     p.add_argument("--policy-rows", default="",
                    help="explicit overrides, e.g. 2:1,5:0")
     p.add_argument("--noise", choices=NoiseSpec.KINDS, default="none")
     p.add_argument("--noise-rows", default="")
-    p.add_argument("--noise-count", type=int, default=0)
-    p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--out", default="-", help="outcome file (default: stdout)")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="recover an approximate defective set")
     p.add_argument("--matrix", required=True)
     p.add_argument("--outcome", required=True)
-    p.add_argument("--alg", type=int, choices=ALGORITHMS, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
+    p.add_argument("--alg", type=partial(_parse_int, "--alg"), choices=ALGORITHMS, required=True)
+    _int_flags(p, "d ell u z")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("complexity", help="closed-form decoding cost")
     p.add_argument("--formula", choices=FORMULA_IDS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--s-size", type=int, default=None)
+    _int_flags(p, "n d ell u z", s_size=None)
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("appendix-check",
                        help="extension-term vs C(n, u) inequality check")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _int_flags(p, "u n")
     p.set_defaults(func=_cmd_appendix_check)
 
     p = sub.add_parser("simulate-bounds", help="bound-comparison sweep as CSV")

@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by the library and the CLI, and the one
-integer check, :func:`_require_int`, that every layer uses.
+"""Exception hierarchy shared by the library and the CLI, the one integer
+check, :func:`_require_int`, that every layer uses, and its readers of text.
 
 Each error class carries the process exit code the CLI maps it to.
 """
 
 from __future__ import annotations
 
+import re
+from numbers import Real
+from string import whitespace
 from typing import Optional
 
 
@@ -40,3 +43,38 @@ def _require_int(name: str, value: int, minimum: Optional[int] = 1) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_real(name: str, value: float) -> None:
+    """Reject a ``value`` that is not a real number (bools too)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def _parse_int(name: str, text: str) -> int:
+    """The integer that ``text`` spells as an optional ``-`` and ASCII digits,
+    with optional ASCII whitespace around them (``int`` also takes ``_``, ``+``
+    and non-ASCII digits); other text fails as in :func:`_require_int`."""
+    stripped = text.strip(whitespace)
+    value = int(stripped) if re.fullmatch(r"-?[0-9]+", stripped) else text
+    _require_int(name, value, None)
+    return value
+
+
+def _parse_ints(name: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, each read by :func:`_parse_int`
+    (an empty entry is an error); blank text has none."""
+    if not text.strip(whitespace):
+        return ()
+    return tuple(_parse_int(name, tok) for tok in text.split(","))
+
+
+def _parse_real(name: str, text: str) -> float:
+    """The real number that ``text`` spells in ASCII decimal notation (no
+    ``_``, leading ``+``, ``inf`` or ``nan``), with optional ASCII whitespace
+    around it; other text fails as in :func:`_require_real`."""
+    stripped = text.strip(whitespace)
+    is_real = re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", stripped)
+    value = float(stripped) if is_real else text
+    _require_real(name, value)
+    return value

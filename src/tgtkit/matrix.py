@@ -21,6 +21,10 @@ Text formats (used by the CLI and by experiment specs):
 * outcome file: a single line of ``t`` characters from ``{0, 1}``,
   character ``i`` being test ``i``;
 * item set: comma-separated 1-based indices, empty string for the empty set.
+
+An integer read from text (here, at the CLI or in a spec file) is an optional
+``-`` and ASCII digits, with optional ASCII whitespace around them, read by
+:func:`~tgtkit.errors._parse_int`; the matrix header's ``t n`` are ASCII digits.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import compress, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ValidationError, _require_int
+from .errors import ValidationError, _parse_ints, _require_int
 
 #: maps binary digits to their values ("1" -> 1)
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -113,14 +117,7 @@ class ItemSet:
 
     @classmethod
     def parse(cls, text: str) -> "ItemSet":
-        text = text.strip()
-        if not text:
-            return cls(())
-        try:
-            items = [int(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse item set {text!r}: {exc}") from None
-        return cls.of(items)
+        return cls.of(_parse_ints("item index", text))
 
     @classmethod
     def from_mask(cls, mask: int) -> "ItemSet":
@@ -327,6 +324,14 @@ class BinaryMatrix:
         return self.col_masks[col - 1].bit_count()
 
 
+def _check_flip_rows(rows: Iterable[int], t: int) -> None:
+    """Reject a flip row that is not an integer, then the lowest not in ``1..t``."""
+    for r in rows:
+        _require_int("flip row", r, None)
+    if outside := [r for r in sorted(rows) if not 1 <= r <= t]:
+        raise ValidationError(f"flip row {outside[0]} out of range 1..{t}")
+
+
 @dataclass(frozen=True)
 class OutcomeVector:
     """``t`` test outcomes: test ``i`` is positive iff ``positives`` has bit ``i - 1``."""
@@ -382,11 +387,8 @@ class OutcomeVector:
     def flipped(self, rows: Iterable[int]) -> "OutcomeVector":
         """Copy with the given 1-based rows flipped; a row listed twice flips once."""
         rows = tuple(rows)
-        for r in rows:
-            _require_int("flip row", r, None)
-        if outside := [r for r in sorted(rows) if not 1 <= r <= self.t]:
-            raise ValidationError(f"flip row {outside[0]} out of range 1..{self.t}")
-        return OutcomeVector(self.t, self.positives ^ _positions_to_mask(rows, self.t))
+        _check_flip_rows(rows, self.t)
+        return OutcomeVector(self.t, self.positives ^ sum(1 << (r - 1) for r in set(rows)))
 
     def __len__(self) -> int:
         return self.t

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from numbers import Real
 from typing import Mapping
 
 from .disjunct import _sample_digits
-from .errors import ValidationError, _require_int
-from .matrix import BinaryMatrix, ItemSet, OutcomeVector
+from .errors import ValidationError, _parse_int, _require_int, _require_real
+from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _check_flip_rows
 from .matrix import _digits_to_mask, _mask_to_digits, _mask_to_positions, _positions_to_mask
 
 
@@ -74,15 +73,12 @@ def _parse_rows(text: str, label: str, with_bits: bool) -> tuple:
     entries = []
     seen: set[int] = set()
     for tok in text.split(",") if text.strip() else ():
-        try:
-            if with_bits:
-                row_text, _, bit_text = tok.partition(":")
-                row = int(row_text)
-                entry = (row, int(bit_text))
-            else:
-                row = entry = int(tok)
-        except ValueError:
-            raise ValidationError(f"bad {label} entry {tok!r}") from None
+        parts = tok.split(":")
+        if len(parts) != 1 + with_bits or not all(part.strip() for part in parts):
+            raise ValidationError(f"bad {label} entry {tok!r}")
+        numbers = tuple(_parse_int(label, part) for part in parts)
+        row = numbers[0]
+        entry = numbers if with_bits else row
         if row < 1:
             raise ValidationError(f"{label} row {row} is not 1-based")
         if row in seen:
@@ -117,8 +113,7 @@ class GapPolicy:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown gap policy {self.kind!r}")
-        if not isinstance(self.p, Real) or isinstance(self.p, bool):
-            raise ValidationError(f"bernoulli p must be a real number, got {self.p!r}")
+        _require_real("bernoulli p", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"bernoulli p must be in [0, 1], got {self.p}")
         _check_rows([row for row, _ in self.overrides], "override row")
@@ -234,9 +229,8 @@ def _check_noise(noise: NoiseSpec, rows: int) -> None:
     """Reject noise that a ``rows``-row matrix cannot take."""
     if noise.kind == "random_flips" and noise.count > rows:
         raise ValidationError(f"cannot flip {noise.count} rows in a {rows}-row matrix")
-    outside = [r for r in sorted(set(noise.rows)) if not 1 <= r <= rows]
-    if noise.kind == "flip_rows" and outside:
-        raise ValidationError(f"flip row {outside[0]} out of range 1..{rows}")
+    if noise.kind == "flip_rows":
+        _check_flip_rows(noise.rows, rows)
 
 
 def encode(
@@ -293,9 +287,7 @@ def encode(
     flips = noise.rows if noise.kind == "flip_rows" else ()
     if noise.kind == "random_flips":
         flips = random.Random(noise.seed).sample(range(1, t + 1), noise.count)
-    for row in flips:  # distinct, by NoiseSpec and by sample(): one XOR each
-        positive ^= 1 << (row - 1)
-    return OutcomeVector(t, positive)
+    return OutcomeVector(t, positive).flipped(flips)
 
 
 def check_consistency(

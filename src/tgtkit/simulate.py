@@ -23,7 +23,7 @@ from typing import Optional
 
 from .decode import _check_algorithm, check_envelope, decode
 from .disjunct import GENERATE_KINDS, ROW_BOUNDS, _sample_plan, generate, generate_verified
-from .errors import ValidationError, _require_int
+from .errors import ValidationError, _parse_int, _parse_real, _require_int
 from .matrix import BinaryMatrix, ItemSet, _read_text
 from .model import GapPolicy, NoiseSpec, TGTParams, _check_noise, encode
 
@@ -247,24 +247,12 @@ class ExperimentSpec:
                 raise ValidationError(f"duplicate spec key {key!r} on line {lineno}")
             kv[key] = value.strip()
 
-        def need(key: str) -> str:
+        def need(key: str) -> int:
             if key not in kv:
                 raise ValidationError(f"missing required spec key {key!r}")
-            return kv[key]
+            return _parse_int(key, kv[key])
 
-        def as_int(key: str, value: str) -> int:
-            try:
-                return int(value)
-            except ValueError:
-                raise ValidationError(f"spec key {key!r} must be an integer") from None
-
-        params = TGTParams(
-            n=as_int("n", need("n")),
-            d=as_int("d", need("d")),
-            ell=as_int("ell", need("ell")),
-            u=as_int("u", need("u")),
-            z=as_int("z", need("z")),
-        )
+        params = TGTParams(*map(need, ("n", "d", "ell", "u", "z")))
         verified_text = kv.get("verified", "false")
         if verified_text.lower() not in _VERIFIED_WORDS:
             raise ValidationError(
@@ -272,28 +260,25 @@ class ExperimentSpec:
                 f"got {verified_text!r}"
             )
         verified = _VERIFIED_WORDS[verified_text.lower()]
-        try:
-            bernoulli_p = float(kv.get("bernoulli_p", "0.5"))
-        except ValueError:
-            raise ValidationError("spec key 'bernoulli_p' must be a number") from None
+        bernoulli_p = _parse_real("bernoulli_p", kv.get("bernoulli_p", "0.5"))
         return cls(
             params=params,
-            algorithm=as_int("algorithm", need("algorithm")),
-            trials=as_int("trials", need("trials")),
-            seed=as_int("seed", need("seed")),
+            algorithm=need("algorithm"),
+            trials=need("trials"),
+            seed=need("seed"),
             matrix_path=kv.get("matrix"),
             generate_kind=kv.get("generate"),
-            rows_override=as_int("rows", kv["rows"]) if "rows" in kv else None,
-            max_attempts=as_int("max_attempts", kv.get("max_attempts", "100")),
+            rows_override=_parse_int("rows", kv["rows"]) if "rows" in kv else None,
+            max_attempts=_parse_int("max_attempts", kv.get("max_attempts", "100")),
             defectives=ItemSet.parse(kv["defectives"]) if "defectives" in kv else None,
-            s_size=as_int("s_size", kv["s_size"]) if "s_size" in kv else None,
+            s_size=_parse_int("s_size", kv["s_size"]) if "s_size" in kv else None,
             policy=GapPolicy.from_settings(
                 kv.get("policy", "always_negative"), bernoulli_p,
                 kv.get("policy_rows", ""), label="policy_rows",
             ),
             noise=NoiseSpec.from_settings(
                 kv.get("noise", "none"), kv.get("noise_rows", ""),
-                as_int("noise_count", kv.get("noise_count", "0")), label="noise_rows",
+                _parse_int("noise_count", kv.get("noise_count", "0")), label="noise_rows",
             ),
             verified=verified,
         )

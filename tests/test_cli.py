@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from tgtkit.cli import build_parser, main
@@ -397,3 +399,33 @@ class TestArgumentErrors:
 
     def test_unknown_subcommand_is_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+# subcommand -> every flag it declares
+FLAGS = {
+    "gen": "--n --d --u --z --seed --rows --max-attempts --variant --verify --out",
+    "verify": "--matrix --d --r --z --cap",
+    "bounds": "--n --d --u --z",
+    "encode": "--matrix --defectives --ell --u --policy-seed --noise-count --noise-seed "
+              "--policy --bernoulli-p --policy-rows --noise --noise-rows --out",
+    "decode": "--matrix --outcome --alg --d --ell --u --z",
+    "complexity": "--formula --n --d --ell --u --z --s-size",
+    "appendix-check": "--u --n",
+    "simulate-bounds": "--out --n-values --d-values --z-values --schemes",
+    "experiment": "--spec",
+}
+
+
+def test_every_subcommand_names_its_flags_in_help(capsys):
+    # argparse formats help only when asked, so a bad declaration shows only here
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0] == ",".join(FLAGS)
+    for command, flags in FLAGS.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+        named = re.findall(r"^  (--[a-z-]+)", options, re.MULTILINE)
+        assert sorted(named) == sorted(flags.split()), command
