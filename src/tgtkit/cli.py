@@ -41,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ValidationError(message)
 
+    def parse_args(self, args=None, namespace=None):  # noqa: D102
+        parsed = super().parse_args(args, namespace)
+        for name, value in vars(parsed).items():
+            # Before Python 3.12, argparse drops the "--" of ``--flag=--``
+            # without calling ``type`` and stores an empty list; every flag
+            # here takes one value, so a list can only come from that.
+            if isinstance(value, list):
+                self.error(f"argument --{name.replace('_', '-')}: '--' is not a value")
+        return parsed
+
 
 def _int_flags(parser: argparse.ArgumentParser, required: str, **defaults) -> None:
     """Declare the ``required`` flags (space-separated) and the ``defaults``

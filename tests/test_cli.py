@@ -196,6 +196,17 @@ class TestGenVerifyBounds:
         assert out == ""
         assert err == "error: pair_cap must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("flag", ["--policy-rows", "--noise-rows", "--ell"])
+    def test_double_dash_flag_value_is_exit_1(self, capsys, golden_files, flag):
+        matrix, _ = golden_files
+        argv = {"--matrix": matrix, "--defectives": "1,2", "--ell": 0, "--u": 2,
+                "--policy": "always_positive"}
+        argv[flag] = "--"
+        code, out, err = run(capsys, "encode", *(f"{k}={v}" for k, v in argv.items()))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: argument {flag}: '--' is not a value\n"
+
     def test_verify_n40_design_passes(self, capsys, tmp_path):
         # 57,575,700 (ones-set, zeros-set) pairs, about 110 s pair by pair
         matrix = tmp_path / "n40.txt"
