@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from string import whitespace
 from typing import Optional, Sequence
 
 from .analysis import FORMULA_IDS, appendix_gap_check, complexity
@@ -19,6 +20,7 @@ from .disjunct import (
 )
 from .errors import (
     EnvelopeDefectError, TGTError, ValidationError, _parse_int, _parse_ints, _parse_real,
+    _split_list,
 )
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _write_text
 from .model import GapPolicy, NoiseSpec, TGTParams, encode
@@ -169,7 +171,7 @@ def _cmd_simulate_bounds(args) -> int:
         n_values=_parse_ints("--n-values", args.n_values),
         d_values=_parse_ints("--d-values", args.d_values),
         z_values=_parse_ints("--z-values", args.z_values),
-        schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
+        schemes=tuple(s.strip(whitespace) for s in _split_list(args.schemes)),
     )
     csv_text = sweep_to_csv(simulate_bounds(spec))
     if args.out == "-":

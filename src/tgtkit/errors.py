@@ -56,17 +56,23 @@ def _parse_int(name: str, text: str) -> int:
     with optional ASCII whitespace around them (``int`` also takes ``_``, ``+``
     and non-ASCII digits); other text fails as in :func:`_require_int`."""
     stripped = text.strip(whitespace)
-    value = int(stripped) if re.fullmatch(r"-?[0-9]+", stripped) else text
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        value = int(stripped) if re.fullmatch(r"-?[0-9]+", stripped) else text
+    except ValueError:
+        value = text
     _require_int(name, value, None)
     return value
 
 
+def _split_list(text: str) -> list[str]:
+    """The comma-separated entries of ``text`` as written (an empty entry
+    stays, for its reader to reject); text that is blank in ASCII has none."""
+    return text.split(",") if text.strip(whitespace) else []
+
+
 def _parse_ints(name: str, text: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``text``, each read by :func:`_parse_int`
-    (an empty entry is an error); blank text has none."""
-    if not text.strip(whitespace):
-        return ()
-    return tuple(_parse_int(name, tok) for tok in text.split(","))
+    """The entries of the list ``text`` (:func:`_split_list`) as integers."""
+    return tuple(_parse_int(name, tok) for tok in _split_list(text))
 
 
 def _parse_real(name: str, text: str) -> float:

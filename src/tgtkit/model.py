@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from string import whitespace
 from typing import Mapping
 
 from .disjunct import _sample_digits
-from .errors import ValidationError, _parse_int, _require_int, _require_real
+from .errors import ValidationError, _parse_int, _require_int, _require_real, _split_list
 from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _check_flip_rows
 from .matrix import _digits_to_mask, _mask_to_digits, _mask_to_positions, _positions_to_mask
 
@@ -68,13 +69,13 @@ class TGTParams:
 
 def _parse_rows(text: str, label: str, with_bits: bool) -> tuple:
     """Parse ``row,...`` (or ``row:bit,...`` when ``with_bits``) into a tuple
-    sorted by row.  An empty text is no rows; rows are 1-based and may not
-    repeat.  Error messages name the setting through ``label``."""
+    sorted by row.  Blank text is no rows (:func:`_split_list`); rows are
+    1-based and may not repeat.  Error messages name the setting through ``label``."""
     entries = []
     seen: set[int] = set()
-    for tok in text.split(",") if text.strip() else ():
+    for tok in _split_list(text):
         parts = tok.split(":")
-        if len(parts) != 1 + with_bits or not all(part.strip() for part in parts):
+        if len(parts) != 1 + with_bits or not all(part.strip(whitespace) for part in parts):
             raise ValidationError(f"bad {label} entry {tok!r}")
         numbers = tuple(_parse_int(label, part) for part in parts)
         row = numbers[0]

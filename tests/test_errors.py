@@ -6,6 +6,7 @@ optional ``-`` and ASCII digits, or fails with that message."""
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -86,8 +87,15 @@ def test_integer_arguments_are_checked_at_the_call(golden_matrix, name, ok, call
     call(golden_matrix, ok)
 
 
-# int() took the first three; "" is an empty value or list entry
-BAD_TEXTS = ["1_0", "+3", "\u0663", "0x10", "1e3", ""]
+# more digits than int() reads from text here (0: no limit, before 3.10.7)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# int() took the first three; "" is an empty value or list entry; int() raises
+# ValueError on the last, which passed the ASCII-digit test
+BAD_TEXTS = ["1_0", "+3", "\u0663", "0x10", "1e3", "", pytest.param(
+    "9" * (INT_DIGIT_LIMIT + 1), id="too-many-digits",
+    marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads any length"),
+)]
 
 SPEC = ("n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=0\nseed=0\ngenerate=thm4\n"
         "defectives=1,2\n")
@@ -223,6 +231,10 @@ def test_forms_that_keep_working(capsys):
     assert GapPolicy.from_settings("explicit", rows_text="5:0, 2:1") == (
         GapPolicy.explicit({2: 1, 5: 0}))
     assert ItemSet.parse(" 007 ,2") == ItemSet.of([2, 7])
+    # text blank in ASCII is an empty list
+    assert ItemSet.parse(" \t") == ItemSet.of([])
+    assert GapPolicy.from_settings("explicit", rows_text=" \t").overrides == ()
+    assert NoiseSpec.from_settings("flip_rows", " \t").rows == ()
     # seed=007 parses; trials=-1 parses, and the range is the library's
     assert _spec_error(seed="007", trials="-1") == "trials must be >= 0, got -1"
     with pytest.raises(ValidationError, match="^noise_rows row -1 is not 1-based$"):
@@ -233,3 +245,22 @@ def test_forms_that_keep_working(capsys):
         return capsys.readouterr().out
 
     assert bounds("0100") == bounds(" 100\t") == bounds("100") != ""
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--defectives", "item index must be an integer, got '\\xa0'"),
+    ("--policy-rows", "bad --policy-rows entry '\\xa0'"),  # no ":bit"
+    ("--noise-rows", "--noise-rows must be an integer, got '\\xa0'"),
+])
+def test_list_text_is_blank_only_in_ascii(capsys, matrix_file, flag, message):
+    # a list of only non-ASCII whitespace was no rows for the two row lists
+    assert _encode_error(capsys, matrix_file, flag, "\xa0") == message
+
+
+@pytest.mark.parametrize("schemes, entry", [
+    ("thm1,,thm4", ""), ("thm1,thm4,", ""), ("thm1, \t", ""), ("thm1,\xa0", "\xa0"),
+])
+def test_scheme_list_keeps_its_empty_entries(capsys, schemes, entry):
+    # each was read as "thm1,thm4" (or "thm1") before
+    error = _cli_error(capsys, "simulate-bounds", "--out", "-", "--schemes", schemes)
+    assert error.startswith(f"unknown scheme {entry!r} (expected ")
