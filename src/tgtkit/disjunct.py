@@ -381,11 +381,18 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
     ``spare`` bits of ``uncovered`` unset by their union.
 
     Exact branch and bound, depth first on an explicit stack.  A node with
-    ``k >= 3`` counts the holders of every uncovered bit (a binary counter
-    kept in bit planes), spends the bits nobody holds from ``spare``, and
-    fails when the ``k`` largest gains cannot close the rest.  Otherwise it
-    enumerates its completions when there are few, or branches on the
-    lowest of the bits with fewest holders: each holder in turn, earlier
+    ``k >= 3`` marks the bits held by at least one and by at least two
+    masks, spends the bits nobody holds from ``spare``, and succeeds when
+    ``spare`` covers the rest or there are at most ``k`` masks.  With
+    ``spare`` at 0, a bit with a single holder can only be set by it, so
+    the node takes every such holder in one step: it fails if there are
+    more than ``k``, succeeds if they set every bit, and otherwise goes on
+    with ``k`` reduced and their bits removed.  With ``spare`` above 0 such
+    a bit may stay unset, and nothing is forced.  Such a node fails when
+    the ``k`` largest gains cannot close the rest, enumerates its
+    completions when there are few, or else branches on the lowest of the
+    bits with fewest holders (found by a binary counter kept in bit planes
+    unless some bit has a single holder): each holder in turn, earlier
     holders excluded, and then, while ``spare`` lasts, that bit left unset
     with all its holders dropped.  Nodes with ``k <= 2`` are decided
     directly.
@@ -398,32 +405,35 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
             if need <= 0 or any((m & uncovered).bit_count() >= need for m in hits):
                 return True
             continue
+        # from here every mask lies inside uncovered, so ^ takes its bits out
         hits = [h for m in hits if (h := m & uncovered)]
         if k == 2:
             if _can_cover_pair(hits, uncovered.bit_count() - spare):
                 return True
             continue
-        planes: list[int] = []  # planes[i]: bit i of each row's holder count
+        held = twice = 0  # the bits held at least once, at least twice
         for h in hits:
-            i = 0
-            while h:
-                if i == len(planes):
-                    planes.append(h)
-                    break
-                plane = planes[i]
-                planes[i] = plane ^ h
-                h &= plane
-                i += 1
-        held = 0
-        for plane in planes:
-            held |= plane
-        spare -= (uncovered & ~held).bit_count()
+            twice |= held & h
+            held |= h
+        spare -= (uncovered ^ held).bit_count()
         if spare < 0:
             continue
         uncovered = held
         size = uncovered.bit_count()
         if size <= spare or len(hits) <= k:
             return True
+        single = held ^ twice
+        if single and not spare:
+            forced = [h for h in hits if h & single]
+            if len(forced) <= k:
+                union = 0
+                for h in forced:
+                    union |= h
+                if union == uncovered:
+                    return True
+                if len(forced) < k:
+                    stack.append((hits, uncovered ^ union, k - len(forced), 0))
+            continue
         gains = sorted(map(int.bit_count, hits))
         if size - sum(gains[-k:]) > spare:
             continue
@@ -436,39 +446,61 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
                 if union.bit_count() >= need:
                     return True
             continue
-        rarest = held
-        for plane in reversed(planes):
-            if rarest & ~plane:
-                rarest &= ~plane
+        rarest = single
+        if not rarest:
+            planes: list[int] = []  # planes[i]: bit i of each row's holder count
+            for h in hits:
+                i = 0
+                while h:
+                    if i == len(planes):
+                        planes.append(h)
+                        break
+                    plane = planes[i]
+                    planes[i] = plane ^ h
+                    h &= plane
+                    i += 1
+            rarest = held
+            for plane in reversed(planes):
+                if rarest & ~plane:
+                    rarest &= ~plane
         bit = rarest & -rarest
         holders = [h for h in hits if h & bit]
         others = [h for h in hits if not h & bit]
         # popped in reverse: each holder in order, then the bit left unset
         if spare:
-            stack.append((others, uncovered & ~bit, k, spare - 1))
+            stack.append((others, uncovered ^ bit, k, spare - 1))
         for i in range(len(holders) - 1, -1, -1):
-            stack.append((others + holders[i + 1 :], uncovered & ~holders[i], k - 1, spare))
+            stack.append((others + holders[i + 1 :], uncovered ^ holders[i], k - 1, spare))
     return False
 
 
 def _can_cover_pair(hits: list[int], need: int) -> bool:
-    """Whether the union of at most two of ``hits`` has ``need`` bits: pairs
-    in decreasing gain order, cut off once two gains cannot reach ``need``."""
+    """Whether the union of at most two of ``hits`` has ``need`` bits.
+
+    The two largest gains, sorted as plain ints, answer first: one of them
+    alone may reach ``need``, or both together may fall short.  Otherwise
+    pairs are tried in decreasing gain order, cut off once two gains cannot
+    reach ``need``; a pair reaches it when the second mask shares no more of
+    its bits with the first than its gain spares.
+    """
     if need <= 0:
         return True
-    hits = sorted(hits, key=int.bit_count, reverse=True)
-    gains = [h.bit_count() for h in hits]
+    gains = sorted(map(int.bit_count, hits), reverse=True)
     if gains and gains[0] >= need:
         return True
+    if len(gains) < 2 or gains[0] + gains[1] < need:
+        return False
+    hits = sorted(hits, key=int.bit_count, reverse=True)
     for i in range(len(hits) - 1):
         rest_need = need - gains[i]
         if gains[i + 1] < rest_need:
             return False
-        outside = ~hits[i]
+        first = hits[i]
         for j in range(i + 1, len(hits)):
-            if gains[j] < rest_need:
+            slack = gains[j] - rest_need
+            if slack < 0:
                 break
-            if (hits[j] & outside).bit_count() >= rest_need:
+            if (hits[j] & first).bit_count() <= slack:
                 return True
     return False
 

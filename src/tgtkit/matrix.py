@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError, _parse_ints, _require_int
 
@@ -173,6 +173,16 @@ def _is_canonical(body: str, rows: int, cols: int) -> bool:
     )
 
 
+def _header_sizes(fields: list[str]) -> Optional[tuple[int, int]]:
+    """``(t, n)`` of header fields that are two runs of ASCII digits, else None."""
+    if len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    return None
+
+
 def _canonical_body(text: str) -> tuple[int, int, str]:
     """``(t, n, body)`` of a matrix file, ``body`` being its ``t`` rows as
     canonical text: lines of ``n`` 0/1 characters, each ended by ``"\\n"``.
@@ -182,20 +192,19 @@ def _canonical_body(text: str) -> tuple[int, int, str]:
     then checked one at a time, so an error names the first bad line.
     """
     head, _, body = text.partition("\n")
-    sizes = head.split(" ")
-    if len(sizes) == 2 and all(h.isascii() and h.isdigit() for h in sizes):
-        t, n = int(sizes[0]), int(sizes[1])
-        if t >= 1 and n >= 1 and _is_canonical(body, t, n):
-            return t, n, body
+    sizes = _header_sizes(head.split(" "))
+    if sizes and sizes[0] >= 1 and sizes[1] >= 1 and _is_canonical(body, *sizes):
+        return *sizes, body
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty matrix file")
     head = lines[0].split()
     if len(head) != 2:
         raise ValidationError('matrix header must be "t n"')
-    if not all(h.isascii() and h.isdigit() for h in head):
+    sizes = _header_sizes(head)
+    if sizes is None:
         raise ValidationError('matrix header must be "t n" with integers')
-    t, n = int(head[0]), int(head[1])
+    t, n = sizes
     rows = lines[1:]
     if len(rows) != t:
         raise ValidationError(f"expected {t} matrix rows, found {len(rows)}")

@@ -491,7 +491,9 @@ def _brute_can_cover(hits, uncovered, k, spare):
 def _cover_cases(draw):
     """Random masks at densities from 1/2 down to 1/8, half the time with a
     planted cover: ``k`` masks, some bits held twice, that leave ``spare``
-    bits unset or one more.  Duplicates and empty masks are mixed in."""
+    bits unset or one more.  Half the time some bits get a single holder
+    each: fewer than, exactly or more than ``k`` such holders, whose union
+    may set every bit.  Duplicates and empty masks are mixed in."""
     width = draw(st.integers(1, 40))
     full = (1 << width) - 1
     k = draw(st.integers(1, 5) | st.integers(3, 5))
@@ -512,10 +514,27 @@ def _cover_cases(draw):
                 for owner in {rng.randrange(k), rng.randrange(k)}:
                     planted[owner] |= 1 << bit
         masks += planted
+    if draw(st.booleans()):
+        owned = rng.sample(range(width), min(width, draw(st.integers(1, k + 1))))
+        only = sum(1 << bit for bit in owned)
+        masks = [mask & ~only for mask in masks]
+        rest = full & ~only if draw(st.booleans()) else rng.getrandbits(width) & ~only
+        masks += [1 << bit | (rest if i == 0 else 0) for i, bit in enumerate(owned)]
     masks += draw(st.lists(st.sampled_from(masks + [0]), max_size=3))
     hits = draw(st.permutations(masks))
     uncovered = draw(st.just(full) | st.integers(0, full))
     return hits, uncovered, k, spare
+
+
+# each of bits 0 (_ONE_FORCED), 0-2 (_K_FORCED) and 0-3 (_MORE_FORCED) has a
+# single holder; the trailing masks are subsets of others, there to make the
+# search branch instead of enumerating its completions
+_ONE_FORCED = [0b11, 0b11100, 0b1100000, 0b1100, 0b110000, 0b11000010, 0b10000100,
+               0b100, 0b1000, 0b10000, 0b100000]
+_K_FORCED = [0b11001, 0b1100010, 0b1100, 0b11111000, 0b11000000,
+             0b1000, 0b10000, 0b100000, 0b1000000]
+_MORE_FORCED = [0b10001, 0b100010, 0b10100, 0b101000, 0b110000,
+                0b10000, 0b100000, 0b110000, 0b10000]
 
 
 @settings(max_examples=400, deadline=None)
@@ -527,6 +546,25 @@ def _cover_cases(draw):
 @example(([1793, 3460, 1666, 548, 720, 258, 1866, 1040, 176], 4095, 3, 1))
 @example(([2, 4, 3], 15, 2, 1))
 @example(([1040, 640, 2306, 5120, 4131, 64, 2595, 36], 8191, 4, 2))
+# bits with a single holder: one such holder, then a pair completes the
+# cover; two, then one mask cannot; exactly k that set every bit
+@example(([0b11, 0b11100, 0b11100000, 0b1100, 0b110000, 0b11000010], 0xFF, 3, 0))
+@example(([0b101, 0b1010, 0b110000, 0b11000000, 0b1010000, 0b10100000, 0b1100], 0xFF, 3, 0))
+@example(([0b11001, 0b1100010, 0b10001100, 0b11111000], 0xFF, 3, 0))
+# one, exactly k (not setting bit 7) and more than k such holders: taken
+# at once with spare 0 (no cover), branched on with spare 1 (a cover)
+@example((_ONE_FORCED, 0xFF, 3, 0))
+@example((_ONE_FORCED, 0xFF, 3, 1))
+@example((_K_FORCED, 0xFF, 3, 0))
+@example((_K_FORCED, 0xFF, 3, 1))
+@example((_MORE_FORCED, 0b111111, 3, 0))
+@example((_MORE_FORCED, 0b111111, 3, 1))
+# two largest gains equal to the need, apart and overlapping; one below
+# it; a lone mask that reaches it
+@example(([0b0011, 0b1100, 0b0110], 0b1111, 2, 0))
+@example(([0b0011, 0b0110, 0b0101], 0b1111, 2, 0))
+@example(([0b0011, 0b0100, 0b1000], 0b1111, 2, 0))
+@example(([0b0111], 0b1111, 2, 1))
 def test_can_cover_matches_brute_force(case):
     hits, uncovered, k, spare = case
     assert _can_cover(list(hits), uncovered, k, spare) == _brute_can_cover(
@@ -549,6 +587,25 @@ class TestVerifyAtScale:
         expected = _per_pair_verify(planted, 4, 2, 1)
         assert expected[:2] == (False, (1, 3))
         assert _verdict(verify_disjunct(planted, 4, 2, 1)) == expected
+
+    # rows_thm4 cut to a fifth (every design fails, at varying ones-sets) and
+    # to a quarter (one design passes, one fails); the per-pair walk of a
+    # passing design takes about half a second
+    @pytest.mark.parametrize("n, d, r, z, part, seeds", [
+        (20, 4, 2, 1, 5, range(4)),
+        (20, 4, 2, 1, 4, (0, 2)),
+        (20, 3, 3, 1, 5, range(6)),
+        (20, 3, 3, 1, 4, (0, 5)),
+    ])
+    def test_cut_designs_match_per_pair_loop(self, n, d, r, z, part, seeds):
+        rows = rows_thm4(n, d, r, z) // part
+        passed = []
+        for seed in seeds:
+            m = generate(n, d, r, z, seed=seed, rows=rows)
+            expected = _per_pair_verify(m, d, r, z)
+            assert _verdict(verify_disjunct(m, d, r, z)) == expected
+            passed.append(expected[0])
+        assert passed.count(True) == (1 if part == 4 else 0)
 
     def test_zeros_set_close_to_n_needs_no_deep_recursion(self):
         # column 1 and one other column in each row: for ones-set {1} every

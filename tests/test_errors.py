@@ -264,3 +264,18 @@ def test_scheme_list_keeps_its_empty_entries(capsys, schemes, entry):
     # each was read as "thm1,thm4" (or "thm1") before
     error = _cli_error(capsys, "simulate-bounds", "--out", "-", "--schemes", schemes)
     assert error.startswith(f"unknown scheme {entry!r} (expected ")
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads any length")
+@pytest.mark.parametrize("head", [
+    "{big} 1", "1 {big}",  # the one-pass path for "t n" over a canonical body
+    "{big}  1", " 1 {big}",  # the line-by-line path
+])
+def test_matrix_header_with_too_many_digits(capsys, tmp_path, head):
+    # int() raised ValueError on these, which passed the ASCII-digit test
+    text = head.format(big="9" * (INT_DIGIT_LIMIT + 1)) + "\n1\n"
+    message = 'matrix header must be "t n" with integers'
+    assert _library_error(lambda: BinaryMatrix.parse(text)) == message
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    assert _cli_error(capsys, "verify", "--matrix", path, "--d", 1, "--r", 1, "--z", 1) == message
