@@ -13,7 +13,7 @@ from string import whitespace
 from typing import Optional, Sequence
 
 from .analysis import FORMULA_IDS, appendix_gap_check, complexity
-from .decode import ALGORITHMS, decode
+from .decode import ALGORITHMS, _diagnostics, decode
 from .disjunct import (
     ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, generate, generate_verified,
     verify_disjunct,
@@ -140,6 +140,8 @@ def _cmd_decode(args) -> int:
     outcome = OutcomeVector.load(args.outcome)
     params = TGTParams(n=matrix.cols, d=args.d, ell=args.ell, u=args.u, z=args.z)
     result = decode(outcome, matrix, params, args.alg)
+    for note in result.diagnostics:
+        print(f"note: {note}", file=sys.stderr)
     print(f"s_prime={result.recovered.format()}")
     print(f"max_false_positives={result.max_false_positives}")
     print(f"max_false_negatives={result.max_false_negatives}")
@@ -185,6 +187,8 @@ def _cmd_simulate_bounds(args) -> int:
 def _cmd_experiment(args) -> int:
     spec = ExperimentSpec.load(args.spec)
     report = run_experiment(spec)
+    for note in _diagnostics(spec.params, spec.algorithm):
+        print(f"note: {note}", file=sys.stderr)
     sys.stdout.write(report.to_text())
     if report.defect:
         raise EnvelopeDefectError(

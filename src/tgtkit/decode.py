@@ -60,7 +60,6 @@ tuples, so decoding is deterministic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Protocol
@@ -147,13 +146,16 @@ class Family:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Recovered set plus the governing guarantee envelope."""
+    """Recovered set plus the governing guarantee envelope.  ``diagnostics``
+    holds one note per size condition of the algorithm's guarantee or cost
+    statement that the parameters break; the decoder runs regardless."""
 
     recovered: ItemSet
     algorithm: int
     max_false_positives: int
     max_false_negatives: int
     underdetermined: bool = False
+    diagnostics: tuple[str, ...] = ()
 
     @property
     def envelope(self) -> tuple[int, int]:
@@ -381,8 +383,12 @@ def _first_u_complete_extension(
     # the items whose own mask is non-zero: the only ones any A can hold
     live = pool if unmatched else tuple(sorted(x for x in single if single[x]))
 
-    def search(prefix: tuple[int, ...], start: int, mask: int):
-        """First ``A`` extending ``prefix`` by ``live[start:]``, with its B mask."""
+    # depth first over the A prefixes, on a stack of (prefix, next index of
+    # live, its B mask): a frame that grows its prefix pushes its own
+    # resumption and then the grown prefix, which is searched first
+    stack = [((), 0, every_b)]
+    while stack:
+        prefix, start, mask = stack.pop()
         for k in range(start, len(live) - g + len(prefix)):
             x = live[k]
             grown_mask = mask & single.get(x, unmatched)
@@ -400,21 +406,12 @@ def _first_u_complete_extension(
             if not grown_mask:
                 continue
             if len(prefix) == g:
-                return prefix + (x,), grown_mask
-            found = search(prefix + (x,), k + 1, grown_mask)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        found = search((), 0, every_b)
-    finally:
-        del search  # it refers to itself through its cell: leave no cycle behind
-    if found is None:
-        return None
-    a, mask = found
-    b = b_sets[(mask & -mask).bit_length() - 1]
-    return current.union(a).difference(b)
+                b = b_sets[(grown_mask & -grown_mask).bit_length() - 1]
+                return current.union(prefix, (x,)).difference(b)
+            stack.append((prefix, k + 1, mask))
+            stack.append((prefix + (x,), k + 1, grown_mask))
+            break
+    return None
 
 
 def _swap_extend(
@@ -465,24 +462,17 @@ def _envelope(algorithm: int, params: TGTParams, s_size: int) -> tuple[int, int]
     return g, 2 * g
 
 
-def _announce(params: TGTParams, algorithm: int) -> tuple[int, int]:
-    """Reject an unknown algorithm, warn about the size conditions its
-    guarantee assumes (the decoders run regardless), and return its
-    envelope at ``|S| = d``."""
-    envelope = _envelope(algorithm, params, params.d)  # rejects an unknown algorithm
-    w = w_bound(params.d, params.ell, params.u, params.g)
-    if algorithm == 3 and w + params.d > params.n:
-        warnings.warn(
-            "refinement decoding assumes w + d <= n at worst-case w; "
-            "proceeding anyway",
-            stacklevel=3,
-        )
-    if algorithm != 1 and math.e**2 * (params.d + params.u) ** 2 > params.n * params.u:
-        warnings.warn(
-            "greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway",
-            stacklevel=3,
-        )
-    return envelope
+def _diagnostics(params: TGTParams, algorithm: int) -> tuple[str, ...]:
+    """The size conditions that a checked algorithm's guarantee and cost
+    statements assume and ``params`` break, refinement first, then greedy
+    (the decoders run regardless)."""
+    n, d, u = params.n, params.d, params.u
+    notes = []
+    if algorithm == 3 and w_bound(d, params.ell, u, params.g) + d > n:
+        notes.append("refinement decoding assumes w + d <= n at worst-case w; proceeding anyway")
+    if algorithm != 1 and math.e**2 * (d + u) ** 2 > n * u:
+        notes.append("greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway")
+    return tuple(notes)
 
 
 def _decode(
@@ -496,10 +486,14 @@ def _decode(
     """Run a checked algorithm on the family's edges, drawn in
     lexicographic order as far as it reads them, and ``edge_test``, which
     answers ``T in edge_test`` for sorted ``u``-tuples ``T``.  The result
-    carries ``envelope``, from :func:`_announce`; no edge recovers nothing."""
+    carries ``envelope``, from :func:`_envelope`, and the parameters' notes;
+    no edge recovers nothing."""
+    notes = _diagnostics(params, algorithm)
     first = next(edges, None)
     if first is None:
-        return DecodeResult(ItemSet(()), algorithm, *envelope, underdetermined=True)
+        return DecodeResult(
+            ItemSet(()), algorithm, *envelope, underdetermined=True, diagnostics=notes
+        )
     g = params.g
     if algorithm == 1:
         found = universe = tuple(range(1, params.n + 1))
@@ -507,7 +501,7 @@ def _decode(
         found = universe = tuple(sorted(_greedy_union((first, *edges), g)))
     if algorithm != 2:
         found = _swap_extend(first, edge_test, universe, params.d, g, step_cap)
-    return DecodeResult(ItemSet.of(found), algorithm, *envelope)
+    return DecodeResult(ItemSet.of(found), algorithm, *envelope, diagnostics=notes)
 
 
 def decode_from_family(
@@ -526,7 +520,7 @@ def decode_from_family(
         raise ValidationError(f"family has u={family.u}, params have u={params.u}")
     if (top := max((edge[-1] for edge in family.edges), default=0)) > params.n:
         raise ValidationError(f"family has item {top} outside 1..{params.n}")
-    envelope = _announce(params, algorithm)
+    envelope = _envelope(algorithm, params, params.d)  # rejects an unknown algorithm
     return _decode(iter(family.edges), family.edge_set, params, algorithm, envelope, step_cap)
 
 
@@ -567,7 +561,7 @@ def decode(
         raise ValidationError(
             f"matrix has {matrix.cols} columns but params say n={params.n}"
         )
-    envelope = _announce(params, algorithm)
+    envelope = _envelope(algorithm, params, params.d)  # rejects an unknown algorithm
     tester = _EdgeTest(matrix, outcome, params.u, params.e, subset_cap)
     return _decode(tester.edges(), tester, params, algorithm, envelope, step_cap)
 

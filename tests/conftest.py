@@ -1,8 +1,13 @@
-"""Shared fixtures: the worked-example instance and small structured matrices."""
+"""Shared fixtures: the worked-example instance, small structured matrices,
+and the CLI run in a child process."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +123,16 @@ def naive_verify_disjunct(matrix: BinaryMatrix, d: int, r: int, z: int):
                     covered,
                 )
     return (True, None, None, None)
+
+
+# the checkout's src/, which pytest puts on its own path but a child
+# process does not inherit
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*argv: object, python_flags=()) -> subprocess.CompletedProcess:
+    """``python [python_flags] -m tgtkit.cli argv`` in a child process."""
+    cmd = [sys.executable, *python_flags, "-m", "tgtkit.cli"] + [str(a) for a in argv]
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)

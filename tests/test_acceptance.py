@@ -7,13 +7,9 @@ lines as they complete.
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 
@@ -49,6 +45,7 @@ from conftest import (
     all_pairs_matrix,
     encode_with_assignment,
     gap_rows_for,
+    run_cli,
 )
 
 GRID_N = (10**6, 10**8, 10**9, 10**10, 10**11)
@@ -60,18 +57,6 @@ def _report(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")
 
 
-# the checkout's src/, which pytest puts on its own path but a child
-# process does not inherit
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _cli(*argv: object, cwd=None) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "tgtkit.cli"] + [str(a) for a in argv]
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
-
-
 @pytest.fixture(scope="module")
 def golden_files(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
@@ -80,10 +65,10 @@ def golden_files(tmp_path_factory):
     return path / "matrix.txt", path / "outcome.txt"
 
 
-def _timed_decode_cli(golden_files, alg: int) -> tuple[str, float]:
+def _timed_decoderun_cli(golden_files, alg: int) -> tuple[str, float]:
     matrix, outcome = golden_files
     start = time.perf_counter()
-    proc = _cli(
+    proc = run_cli(
         "decode", "--matrix", matrix, "--outcome", outcome, "--alg", alg,
         "--d", 4, "--ell", 0, "--u", 2, "--z", 1,
     )
@@ -93,21 +78,21 @@ def _timed_decode_cli(golden_files, alg: int) -> tuple[str, float]:
 
 
 def test_criterion_01_golden_alg1(golden_files):
-    out, elapsed = _timed_decode_cli(golden_files, 1)
+    out, elapsed = _timed_decoderun_cli(golden_files, 1)
     assert "s_prime=1,2,4,5\n" in out
     assert elapsed < 1.0
     _report(1, f"decode --alg 1 -> {{1,2,4,5}} in {elapsed:.3f}s")
 
 
 def test_criterion_02_golden_alg2(golden_files):
-    out, elapsed = _timed_decode_cli(golden_files, 2)
+    out, elapsed = _timed_decoderun_cli(golden_files, 2)
     assert "s_prime=1,2,3,5\n" in out
     assert elapsed < 1.0
     _report(2, f"decode --alg 2 -> {{1,2,3,5}} in {elapsed:.3f}s")
 
 
 def test_criterion_03_golden_alg3(golden_files):
-    out, elapsed = _timed_decode_cli(golden_files, 3)
+    out, elapsed = _timed_decoderun_cli(golden_files, 3)
     assert "s_prime=2,3,5\n" in out
     assert elapsed < 1.0
     _report(3, f"decode --alg 3 -> {{2,3,5}} in {elapsed:.3f}s")
@@ -527,7 +512,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     for name, argv in commands.items():
         observations = []
         for _ in range(2):
-            proc = _cli(*argv)
+            proc = run_cli(*argv)
             assert proc.returncode == 0, (name, proc.stderr)
             payload = (proc.stdout, proc.stderr)
             if name in out_files:

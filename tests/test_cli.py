@@ -9,7 +9,13 @@ import pytest
 from tgtkit.cli import build_parser, main
 from tgtkit.disjunct import VERIFY_PAIR_CAP, generate, rows_thm5
 
-from conftest import GOLDEN_OUTCOME, GOLDEN_TEXT
+from conftest import GOLDEN_OUTCOME, GOLDEN_TEXT, run_cli
+
+# the decoder's notes on the golden design (n=6, d=4, u=2) for algorithm 3
+GOLDEN_NOTES = (
+    "note: refinement decoding assumes w + d <= n at worst-case w; proceeding anyway\n"
+    "note: greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway\n"
+)
 
 
 @pytest.fixture()
@@ -30,15 +36,19 @@ def run(capsys, *argv):
 class TestDecodeCommand:
     def test_golden_outputs(self, capsys, golden_files):
         matrix, outcome = golden_files
-        expectations = {1: "1,2,4,5", 2: "1,2,3,5", 3: "2,3,5"}
-        for alg, expected in expectations.items():
-            code, out, _ = run(
+        greedy_note = GOLDEN_NOTES.split("\n", 1)[1]
+        expectations = {
+            1: ("1,2,4,5", ""), 2: ("1,2,3,5", greedy_note), 3: ("2,3,5", GOLDEN_NOTES),
+        }
+        for alg, (expected, notes) in expectations.items():
+            code, out, err = run(
                 capsys, "decode", "--matrix", matrix, "--outcome", outcome,
                 "--alg", alg, "--d", 4, "--ell", 0, "--u", 2, "--z", 1,
             )
             assert code == 0
             assert f"s_prime={expected}\n" in out
             assert "underdetermined=false" in out
+            assert err == notes
 
     def test_underdetermined_instance(self, capsys, golden_files, tmp_path):
         matrix, _ = golden_files
@@ -62,6 +72,23 @@ class TestDecodeCommand:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("python_flags", [(), ("-W", "error")])
+    def test_notes_are_stderr_lines_under_any_warning_filter(
+        self, golden_files, python_flags
+    ):
+        # a child process, so the interpreter's own warning filter applies
+        matrix, outcome = golden_files
+        proc = run_cli(
+            "decode", "--matrix", matrix, "--outcome", outcome, "--alg", 3,
+            "--d", 4, "--ell", 0, "--u", 2, "--z", 1, python_flags=python_flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "s_prime=2,3,5\nmax_false_positives=1\nmax_false_negatives=2\n"
+            "underdetermined=false\n"
+        )
+        assert proc.stderr == GOLDEN_NOTES
 
 
 class TestEncodeCommand:
@@ -305,10 +332,23 @@ class TestSimulateAndExperiment:
             "policy_rows=2:1,5:0,6:1,9:0,10:1,11:1,14:0,15:1,18:0,20:0\n"
             "verified=true\n"
         )
-        code, out, _ = run(capsys, "experiment", "--spec", spec)
+        code, out, err = run(capsys, "experiment", "--spec", spec)
         assert code == 0
         assert "recovered=1,2,4,5" in out
         assert "pass_rate=1.0000" in out
+        assert err == ""
+
+    def test_experiment_prints_the_notes_once(self, capsys, golden_files, tmp_path):
+        matrix, _ = golden_files
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=3\ntrials=3\nseed=0\n"
+            f"matrix={matrix}\ns_size=4\npolicy=bernoulli\n"
+        )
+        code, out, err = run(capsys, "experiment", "--spec", spec)
+        assert code == 0
+        assert out.count("recovered=") == 3
+        assert err == GOLDEN_NOTES
 
     def test_experiment_defect_exit_code(self, capsys, tmp_path):
         ones = tmp_path / "ones.txt"

@@ -6,7 +6,6 @@ import gc
 import math
 import random
 import re
-import warnings
 from collections import Counter
 from itertools import combinations, product
 from unittest import mock
@@ -570,11 +569,9 @@ def test_swap_extension_matches_reference(n, u, g, d_offset, rate, step_cap, see
             def run(alg=alg):
                 return decode_from_family(family, params, alg, step_cap)
 
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = _outcome_or_error(run)
-                with oracle:
-                    assert result == _outcome_or_error(run)
+            result = _outcome_or_error(run)
+            with oracle:
+                assert result == _outcome_or_error(run)
             if not isinstance(result, tuple):
                 assert is_u_complete(family, result.recovered)
 
@@ -692,8 +689,8 @@ def test_decode_without_the_family_matches_the_family(
     t, n, u, d_offset, z, density, empty_head, policy, flips, subset_cap, step_cap, seed
 ):
     # decode builds no family; for every algorithm it returns what decoding
-    # build_family's family returns, or raises the same error, after the
-    # same warnings.  Rows before empty_head pool nothing, so with it at the
+    # build_family's family returns, diagnostics included, or raises the
+    # same error.  Rows before empty_head pool nothing, so with it at the
     # screen's size every subset passes the screen and only the full masks
     # decide.
     rng = random.Random(seed)
@@ -716,22 +713,16 @@ def test_decode_without_the_family_matches_the_family(
         NoiseSpec.random_flips(min(flips, t), seed=rng.randrange(2**32)),
     )
 
-    def warned(run):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            found = _outcome_or_error(run)
-        return found, [str(w.message) for w in caught]
-
     family = _outcome_or_error(lambda: build_family(matrix, outcome, u, params.e, subset_cap))
     results = []
     for algorithm in ALGORITHMS:
-        result, notices = warned(
+        result = _outcome_or_error(
             lambda: decode(outcome, matrix, params, algorithm, subset_cap, step_cap)
         )
-        if isinstance(family, tuple):  # build_family refused, before any notice
+        if isinstance(family, tuple):  # build_family refused
             assert result == family
         else:
-            assert (result, notices) == warned(
+            assert result == _outcome_or_error(
                 lambda: decode_from_family(family, params, algorithm, step_cap)
             )
         results.append(result)
@@ -857,58 +848,42 @@ def test_extension_asks_each_membership_once_per_step():
     assert repeats and max(repeats) == 1
 
 
-class TestNominalSizeWarnings:
+@pytest.mark.filterwarnings("error")
+class TestNominalSizeNotes:
     """The greedy and refinement decoders run regardless of the size
-    conditions their cost/guarantee statements assume, but they say so."""
+    conditions their cost/guarantee statements assume, but their results
+    say so in ``diagnostics``; a warning would fail these tests."""
 
-    def test_greedy_warns_when_population_is_small(
+    REFINEMENT = "refinement decoding assumes w + d <= n at worst-case w; proceeding anyway"
+    GREEDY = "greedy decoding assumes e^2 (d + u)^2 / u <= n; proceeding anyway"
+    GOLDEN_NOTES = {1: (), 2: (GREEDY,), 3: (REFINEMENT, GREEDY)}
+
+    def test_notes_when_population_is_small(
         self, golden_matrix, golden_outcome, golden_params
     ):
-        with pytest.warns(UserWarning, match="greedy decoding assumes"):
-            decode(golden_outcome, golden_matrix, golden_params, 2)
-
-    def test_refinement_warns_when_population_is_small(
-        self, golden_matrix, golden_outcome, golden_params
-    ):
-        with pytest.warns(UserWarning, match="refinement decoding assumes"):
-            decode(golden_outcome, golden_matrix, golden_params, 3)
-
-    def test_each_surface_emits_the_same_notices(
-        self, golden_matrix, golden_outcome, golden_params
-    ):
-        import warnings as warnings_module
-
         fam = build_family(golden_matrix, golden_outcome, 2, 0)
-        expected = {
-            1: [],
-            2: ["greedy decoding assumes"],
-            3: ["refinement decoding assumes", "greedy decoding assumes"],
-        }
-        for alg, prefixes in expected.items():
-            for call in (
-                lambda: decode(golden_outcome, golden_matrix, golden_params, alg),
-                lambda: decode_from_family(fam, golden_params, alg),
-            ):
-                with warnings_module.catch_warnings(record=True) as caught:
-                    warnings_module.simplefilter("always")
-                    call()
-                messages = [str(w.message) for w in caught]
-                assert len(messages) == len(prefixes), (alg, messages)
-                for message, prefix in zip(messages, prefixes):
-                    assert message.startswith(prefix), (alg, messages)
+        for alg, notes in self.GOLDEN_NOTES.items():
+            from_outcome = decode(golden_outcome, golden_matrix, golden_params, alg)
+            from_family = decode_from_family(fam, golden_params, alg)
+            assert from_outcome.diagnostics == notes, alg
+            assert from_family == from_outcome, alg
+
+    def test_underdetermined_result_keeps_its_notes(self, golden_matrix, golden_params):
+        silent = OutcomeVector(golden_matrix.rows, 0)
+        for alg, notes in self.GOLDEN_NOTES.items():
+            result = decode(silent, golden_matrix, golden_params, alg)
+            assert result.underdetermined
+            assert result.diagnostics == notes
+            assert decode_from_family(Family(2, ()), golden_params, alg) == result
 
     def test_silent_when_conditions_hold(self):
-        import warnings as warnings_module
-
         from tgtkit import generate
 
         matrix = generate(64, 2, 2, 1, seed=6)
         params = TGTParams(n=64, d=2, ell=0, u=2, z=1)
         y = encode(matrix, ItemSet.of([1, 2]), 0, 2, GapPolicy.always_negative())
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            decode(y, matrix, params, 2)
-            decode(y, matrix, params, 3)
+        for alg in ALGORITHMS:
+            assert decode(y, matrix, params, alg).diagnostics == ()
 
 
 class TestWBound:
