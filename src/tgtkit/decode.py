@@ -24,9 +24,13 @@ three on the edges in lexicographic order and a test of "is ``T`` an
 edge?".  :func:`decode_from_family` gives it a family already built.
 :func:`decode` builds none: it gives the enumeration that would build one,
 read only as far as the decoder reads (algorithm 1 reads the first edge),
-and answers the extension's questions from the column masks.  The
-enumeration, :func:`build_family` and those answers are one screened
-column scan: the ``x`` that complete a sorted ``(u - 1)``-tuple to an edge.
+and answers the extension's questions from the column masks.  Each answer
+is one screened column scan: the ``x`` that complete a sorted
+``(u - 1)``-tuple to an edge.  The enumeration, which :func:`build_family`
+shares, is that scan once per item for ``u = 2``; for ``u >= 3`` it counts
+the hits of every pair completing a ``(u - 2)``-tuple at once, over pair
+masks of the first rows that the matrix keeps, and scans only the pairs
+that the count leaves (see :meth:`_EdgeTest.edges`).
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
 subset the extension asks about lies inside it.
@@ -183,14 +187,16 @@ class _EdgeTest:
     """Whether ``t0(T) <= e`` for sorted ``u``-tuples ``T``, on the column
     masks: the family of :func:`build_family` without building it.
 
-    Every question is one screened scan, :meth:`completions`: the rows of
-    a sorted ``(u - 1)``-tuple are intersected once, each candidate column
-    is counted against them within the first ``_SCREEN_ROWS`` rows, and
-    only the survivors are counted over all rows.  A count over some of
-    the rows is a lower bound on ``t0``, so the screen rejects exactly.
-    :meth:`edges` is the lexicographic edge stream, one scan per
-    ``(u - 1)``-subset, and ``T in tester`` scans ``T``'s last item alone.
-    Nothing is kept between questions.
+    A question about the edges through a sorted ``(u - 1)``-tuple is one
+    screened scan, :meth:`completions`: the tuple's rows are intersected
+    once, each candidate column is counted against them within the first
+    ``_SCREEN_ROWS`` rows, and only the survivors are counted over all
+    rows.  A count over some of the rows is a lower bound on ``t0``, so the
+    screen rejects exactly.  ``T in tester`` scans ``T``'s last item alone.
+    :meth:`edges` is the lexicographic edge stream: for ``u <= 2`` one scan
+    per ``(u - 1)``-subset, and for ``u >= 3`` one pass over the rows per
+    head (see there).  Nothing is kept between questions but the matrix's
+    pair masks.
     """
 
     def __init__(
@@ -221,7 +227,7 @@ class _EdgeTest:
         if matrix.rows > _SCREEN_ROWS:
             low_rows = (1 << _SCREEN_ROWS) - 1
             self._screen = [mask & low_rows for mask in self._full]
-        self._n, self._u, self._e = n, u, e
+        self._matrix, self._n, self._u, self._e = matrix, n, u, e
 
     def completions(self, rest: tuple[int, ...], pool: Iterable[int]) -> list[int]:
         """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)``
@@ -239,12 +245,72 @@ class _EdgeTest:
         return hits
 
     def edges(self) -> Iterator[tuple[int, ...]]:
-        """Every edge, in lexicographic order.  Nothing is computed past the
-        last edge drawn, so ``next`` on it is a search for the first edge."""
-        n = self._n
-        for rest in combinations(range(1, n + 1), self._u - 1):
-            for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
-                yield rest + (x,)
+        """Every edge, in lexicographic order.
+
+        For ``u <= 2`` that is one :meth:`completions` scan per
+        ``(u - 1)``-subset.  For ``u >= 3`` the edges come one *head* at a
+        time: a sorted ``(u - 2)``-tuple, whose edges are its pairs
+        ``(b, x)`` with ``head[-1] < b < x``.  The head's negative rows
+        within the pair screen (the first rows, which the matrix keeps pair
+        masks for) are read in order, and each adds its pair mask (bit
+        ``b * (n + 1) + x`` for each of the row's pairs) to a hit count per
+        pair, kept in bit planes.  Reading stops when no pair is left below
+        ``e + 1`` hits, or when a checkpoint of 8 rows rejects no pair.  A
+        count over some rows is a lower bound on ``t0``, so that rejects
+        exactly; the pairs left are checked by one :meth:`completions` scan
+        per ``b``.  Nothing is computed past the head of the last edge
+        drawn, so ``next`` on it is a search for the first edge.
+        """
+        n, u, e, full = self._n, self._u, self._e, self._full
+        if u < 3:
+            for rest in combinations(range(1, n + 1), u - 1):
+                for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
+                    yield rest + (x,)
+            return
+        pairs = self._matrix._pair_rows()
+        masks, build = pairs.masks, pairs.build
+        width, in_screen = n + 1, (1 << pairs.count) - 1
+        screen = [mask & in_screen for mask in full]
+        block, every = (1 << width) - 1, (1 << width * width) - 1  # one b's x; all pairs
+        upper = sum(((1 << width) - (2 << b)) << b * width for b in range(1, n))  # b < x
+        # a pair's count starts at 2**len(plane_ks) - (e + 1), so that its
+        # (e + 1)-th hit carries out of the top plane into ``dead``
+        plane_ks = range(e.bit_length())
+        start = 2 ** len(plane_ks) - (e + 1)
+        start_planes = [every if start >> k & 1 else 0 for k in plane_ks]
+        for head in combinations(range(1, n - 1), u - 2):
+            rows = in_screen
+            for j in head:
+                rows &= screen[j]
+            cut = (head[-1] + 1) * width
+            alive = upper >> cut << cut  # the pairs after the head
+            planes, dead, read = start_planes[:], 0, 0
+            while rows:
+                row = rows & -rows
+                rows ^= row
+                i = row.bit_length() - 1
+                carry = masks[i]
+                if carry is None:
+                    carry = build(i)
+                for k in plane_ks:
+                    plane = planes[k]
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                dead |= carry
+                read += 1
+                if not read % 8:
+                    left = alive & ~dead
+                    if not left or left == alive:
+                        break
+                    alive = left
+            alive &= ~dead
+            while alive:
+                b = ((alive & -alive).bit_length() - 1) // width
+                xs = alive >> b * width & block
+                alive ^= xs << b * width
+                rest = head + (b,)
+                for x in self.completions(rest, [x for x in range(b + 1, width) if xs >> x & 1]):
+                    yield rest + (x,)
 
     def __contains__(self, items: tuple[int, ...]) -> bool:
         return bool(self.completions(items[:-1], items[-1:]))

@@ -8,7 +8,8 @@ Conventions used across the package:
   ``j - 1`` standing for item ``j``; a column is likewise a bitmask over
   rows.  All set intersections reduce to ``&`` plus a popcount.
 * A :class:`BinaryMatrix` is stored as its column masks, the only masks
-  the kernels read; its row masks are built from them on first read.
+  the kernels read; its row masks are built from them on first read, and
+  so are the pair masks of its first rows, which the edge stream reads.
   Matrix text is read and written one column at a time, as a strided
   slice of the rows' lines.
 * An outcome ``OutcomeVector(t, positives)`` is a mask too, with bit ``i - 1`` set
@@ -44,6 +45,11 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: writes into it (97,847 x 200 on a 2-vCPU Xeon, Python 3.11: about 230 ms
 #: unblocked, 110-130 ms in blocks)
 _TEXT_BLOCK_ROWS = 4096
+
+#: bound on the pair masks a matrix keeps, as (rows, bits): the first rows
+#: only, each of ``(cols + 1) ** 2`` bits (2048 rows of 3,721 bits at
+#: n=60, about 1 MB in all; 16 MB at most)
+_PAIR_STORE_BOUND = (2048, 1 << 27)
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -218,12 +224,49 @@ def _canonical_body(text: str) -> tuple[int, int, str]:
     return t, n, body
 
 
+class _PairRows:
+    """Pair masks of a matrix's first ``count`` rows, each built on first
+    read: bit ``b * (cols + 1) + x`` of ``masks[i]`` is set when row
+    ``i + 1`` holds items ``b`` and ``x``.  The row's items ``b`` are
+    spread to bits ``b * (cols + 1)``, and the spread is multiplied by the
+    row: each item's product lies in a block of its own, so nothing carries.
+    """
+
+    def __init__(self, matrix: "BinaryMatrix") -> None:
+        width = matrix.cols + 1
+        max_rows, max_bits = _PAIR_STORE_BOUND
+        self.count = count = min(matrix.rows, max_rows, max_bits // width**2)
+        # the columns' first rows as digits, last column and last row first:
+        # row i's digits, last item first, are every count-th from count - 1 - i
+        low = (1 << count) - 1
+        spec = f"0{count}b"
+        self._digits = "".join(format(col & low, spec) for col in reversed(matrix.col_masks))
+        self._bytes = (width + 7) // 8  # of a row shifted to bits 1..cols
+        # each byte value with bit k moved to bit k * width: ``width`` bytes,
+        # so a row's bytes spread to their spreads laid end to end
+        spread = [0]
+        for value in range(1, 256):
+            spread.append(spread[value >> 1] << width | value & 1)
+        self._spread = [value.to_bytes(width, "little") for value in spread]
+        self.masks: list[Optional[int]] = [None] * count
+
+    def build(self, i: int) -> int:
+        """Row ``i + 1``'s pair mask, built and kept (threads that race here
+        store equal masks)."""
+        row = int(self._digits[self.count - 1 - i :: self.count], 2) << 1
+        spread = b"".join(map(self._spread.__getitem__, row.to_bytes(self._bytes, "little")))
+        mask = self.masks[i] = int.from_bytes(spread, "little") * row
+        return mask
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class BinaryMatrix:
     """A ``t x n`` 0/1 measurement matrix (rows are tests, columns items).
 
     It is stored as its column masks; ``row_masks`` is built from them when
-    first read.  Equality and hashing compare ``(rows, cols, col_masks)``.
+    first read, and the edge stream's pair masks of the first rows (at most
+    ``_PAIR_STORE_BOUND``) when each is first read.  Equality, hashing,
+    ``repr``, pickles and copies depend on the entries alone.
     """
 
     rows: int
@@ -268,6 +311,18 @@ class BinaryMatrix:
         if masks is None:  # threads that race here store equal tuples
             masks = self.__dict__["_row_masks"] = _transpose(self.col_masks, self.rows)
         return masks
+
+    def _pair_rows(self) -> _PairRows:
+        """The pair masks of the first rows, made on first call and kept."""
+        store = self.__dict__.get("_pair_store")
+        if store is None:  # threads that race here all keep the first store
+            store = self.__dict__.setdefault("_pair_store", _PairRows(self))
+        return store
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a copy or an unpickled matrix builds its own
+        row and pair masks when it reads them."""
+        return {"rows": self.rows, "cols": self.cols, "col_masks": self.col_masks}
 
     def __repr__(self) -> str:
         return f"BinaryMatrix(rows={self.rows}, cols={self.cols}, row_masks={self.row_masks})"

@@ -28,6 +28,7 @@ from tgtkit import (
     decode,
     decode_from_family,
     encode,
+    generate,
     is_u_complete,
     t0,
     verify_disjunct,
@@ -45,8 +46,13 @@ from tgtkit.decode import (
     _greedy_union,
     _swap_extend,
 )
+from tgtkit.matrix import _PAIR_STORE_BOUND
 
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
+
+
+#: rows in the pair screen of the u >= 3 edge stream, on a narrow matrix
+_PAIR_ROWS = _PAIR_STORE_BOUND[0]
 
 
 def _build_family_reference(matrix, outcome, u, e):
@@ -167,6 +173,34 @@ class TestBuildFamily:
              positive_head=_SCREEN_ROWS, seed=7)
     @example(t=3000, n=8, u=2, e=2, density=0.6, negative_rate=0.0,
              positive_head=0, seed=4)
+    # the pair screen's size, one row below it and one above it; then every
+    # negative row past the pair screen, so the per-b scans alone decide
+    @example(t=_PAIR_ROWS - 1, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=8)
+    @example(t=_PAIR_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=9)
+    @example(t=_PAIR_ROWS + 1, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=10)
+    @example(t=_PAIR_ROWS + 1, n=9, u=3, e=0, density=0.3, negative_rate=1.0,
+             positive_head=_PAIR_ROWS, seed=11)
+    @example(t=3000, n=9, u=4, e=1, density=0.6, negative_rate=0.3,
+             positive_head=_PAIR_ROWS, seed=12)
+    # all positive past the pair screen: every pair survives it, and the
+    # per-b scans do all the work
+    @example(t=_PAIR_ROWS + 1, n=8, u=3, e=0, density=0.6, negative_rate=0.0,
+             positive_head=0, seed=13)
+    @example(t=_PAIR_ROWS + 1, n=8, u=4, e=1, density=0.6, negative_rate=0.0,
+             positive_head=0, seed=14)
+    # hit counts of every plane depth: e = 0, 1, 2 and 5 (three planes, the
+    # count starting at 2)
+    @example(t=_PAIR_ROWS + 1, n=9, u=3, e=0, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=15)
+    @example(t=_PAIR_ROWS + 1, n=9, u=3, e=2, density=0.6, negative_rate=0.3,
+             positive_head=0, seed=16)
+    @example(t=_PAIR_ROWS + 1, n=9, u=3, e=5, density=0.6, negative_rate=0.3,
+             positive_head=0, seed=17)
+    @example(t=600, n=9, u=4, e=5, density=1.0, negative_rate=0.02,
+             positive_head=0, seed=18)
     def test_matches_reference(
         self, t, n, u, e, density, negative_rate, positive_head, seed
     ):
@@ -188,6 +222,35 @@ class TestBuildFamily:
         fam = build_family(matrix, outcome, u, e)
         assert fam == _build_family_reference(matrix, outcome, u, e)
         assert fam.edges == tuple(sorted(fam.edges))
+
+    @pytest.mark.parametrize("head_rows", (0, _PAIR_ROWS))
+    def test_last_head_holds_the_only_edge(self, head_rows):
+        # each row pools one triple: every triple but (5, 6, 7) sits in two
+        # negative rows, so the only edge is the last head's only pair.
+        # With positive rows first, every negative row is past the pair screen
+        triples = list(combinations(range(1, 8), 3))[:-1]
+        rows = [[1] * 7] * head_rows + [
+            [int(j in triple) for j in range(1, 8)] for triple in triples * 2
+        ]
+        matrix = BinaryMatrix.from_bits(rows)
+        outcome = OutcomeVector.from_bits([1] * head_rows + [0] * (len(rows) - head_rows))
+        fam = build_family(matrix, outcome, 3, 1)
+        assert fam.edges == ((5, 6, 7),)
+        assert fam == _build_family_reference(matrix, outcome, 3, 1)
+
+    @pytest.mark.parametrize("bound", [(_PAIR_ROWS, 0), (1, 1 << 27), (5, 1 << 27)])
+    def test_matches_reference_at_any_pair_store_bound(self, monkeypatch, bound):
+        # a pair screen of no row (a design too wide for the bits), of one
+        # row and of a few rows: the stream stays exact
+        monkeypatch.setattr("tgtkit.matrix._PAIR_STORE_BOUND", bound)
+        rng = random.Random(5)
+        matrix = BinaryMatrix(300, 9, [rng.getrandbits(9) for _ in range(300)])
+        outcome = OutcomeVector(300, rng.getrandbits(300) & rng.getrandbits(300))
+        assert matrix._pair_rows().count == min(bound[0], bound[1] // 100)
+        for u, e in product((3, 4), (0, 1, 2)):
+            assert build_family(matrix, outcome, u, e) == (
+                _build_family_reference(matrix, outcome, u, e)
+            )
 
     def test_leaves_no_reference_cycles(self):
         rng = random.Random(7)
@@ -732,6 +795,30 @@ def test_decode_without_the_family_matches_the_family(
         assert first == (family.edges[0] if family.edges else None)
         for result in results:
             assert getattr(result, "underdetermined", False) == (first is None)
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def test_decode_matches_the_reference_family_past_the_pair_screen(policy):
+    # build_family reads the same edge stream as decode, so the oracle is the
+    # per-subset scan; the design has 4,100 rows, twice the pair screen
+    params = TGTParams(n=24, d=3, ell=0, u=3, z=3)
+    matrix = generate(params.n, params.d, params.u, params.z, seed=3)
+    assert matrix.rows > 2 * _PAIR_ROWS
+    rng = random.Random(policy)
+    for size in (3, 5):
+        outcome = encode(
+            matrix,
+            ItemSet.of(rng.sample(range(1, params.n + 1), size)),
+            params.ell,
+            params.u,
+            _POLICIES[policy](rng.randrange(2**32)),
+            NoiseSpec.random_flips(1, seed=rng.randrange(2**32)),
+        )
+        family = _build_family_reference(matrix, outcome, params.u, params.e)
+        for algorithm in ALGORITHMS:
+            assert decode(outcome, matrix, params, algorithm) == (
+                decode_from_family(family, params, algorithm)
+            )
 
 
 def test_decode_does_not_build_the_family(golden_matrix, golden_outcome, golden_params):

@@ -29,6 +29,8 @@ from tgtkit import (
     verify_disjunct,
 )
 
+from tgtkit.matrix import _PAIR_STORE_BOUND
+
 from conftest import GOLDEN_TEXT
 
 
@@ -373,6 +375,85 @@ def test_threads_reading_unbuilt_row_masks_agree():
                 w.join(timeout=10)
             assert not any(w.is_alive() for w in workers)
             assert seen == [rows] * 8 and m.row_masks == rows
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def _pair_rows_built(matrix):
+    """How many pair masks the matrix keeps (None: it has no pair store)."""
+    store = vars(matrix).get("_pair_store")
+    return None if store is None else sum(mask is not None for mask in store.masks)
+
+
+def _three_item_decode_case(rows=3000):
+    """A fresh u = 3 design past the pair screen and one outcome of it."""
+    params = TGTParams(n=12, d=3, ell=0, u=3, z=3)
+    rng = random.Random(rows)
+    m = BinaryMatrix.parse(
+        BinaryMatrix(rows, params.n, [rng.getrandbits(params.n) for _ in range(rows)]).to_text()
+    )
+    policy = GapPolicy.bernoulli(0.5, seed=1)
+    outcome = encode(m, ItemSet.of([2, 7, 11]), params.ell, params.u, policy)
+    return m, outcome, params
+
+
+def test_pair_store_changes_nothing_visible():
+    m, outcome, params = _three_item_decode_case()
+    fresh = BinaryMatrix.parse(m.to_text())
+    results = [decode(outcome, m, params, algorithm) for algorithm in (1, 2, 3)]
+    assert 0 < _pair_rows_built(m) <= _PAIR_STORE_BOUND[0]
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    for twin in (copy.copy(m), pickle.loads(pickle.dumps(m))):
+        # a twin carries no store of its own, and shares none
+        assert twin == m and hash(twin) == hash(m) and _pair_rows_built(twin) is None
+        assert [decode(outcome, twin, params, algorithm) for algorithm in (1, 2, 3)] == results
+        assert twin._pair_rows() is not m._pair_rows()
+
+
+def test_pair_store_is_bounded_in_rows_and_bits():
+    max_rows, max_bits = _PAIR_STORE_BOUND
+    m, outcome, params = _three_item_decode_case(max_rows + 100)
+    decode(outcome, m, params, 2)
+    assert m._pair_rows().count == max_rows
+    assert _pair_rows_built(m) <= max_rows
+    wide = BinaryMatrix(40, 3000, [(1 << 3000) - 1] * 40)
+    count = wide._pair_rows().count
+    assert count * 3001**2 <= max_bits < (count + 1) * 3001**2
+
+
+def test_two_item_decode_keeps_no_pair_rows():
+    params = TGTParams(n=12, d=3, ell=0, u=2, z=3)
+    m = generate(params.n, params.d, params.u, params.z, seed=4)
+    outcome = encode(m, ItemSet.of([3, 9]), params.ell, params.u, GapPolicy.always_negative())
+    for algorithm in (1, 2, 3):
+        decode(outcome, m, params, algorithm)
+    build_family(m, outcome, params.u, params.e)
+    assert _pair_rows_built(m) is None
+
+
+def test_threads_decoding_on_one_matrix_agree():
+    # threads that race to build the same pair masks decode as one thread does
+    m, outcome, params = _three_item_decode_case()
+    expected = [decode(outcome, BinaryMatrix.parse(m.to_text()), params, alg) for alg in (1, 2, 3)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = BinaryMatrix.parse(m.to_text())
+            seen = []
+            start = threading.Barrier(4)
+
+            def run():
+                start.wait(timeout=10)
+                seen.append([decode(outcome, shared, params, alg) for alg in (1, 2, 3)])
+
+            workers = [threading.Thread(target=run) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert seen == [expected] * 4
     finally:
         sys.setswitchinterval(old_interval)
 
