@@ -28,9 +28,9 @@ and answers the extension's questions from the column masks.  Each answer
 is one screened column scan: the ``x`` that complete a sorted
 ``(u - 1)``-tuple to an edge.  The enumeration, which :func:`build_family`
 shares, is that scan once per item for ``u = 2``; for ``u >= 3`` it counts
-the hits of every pair completing a ``(u - 2)``-tuple at once, over pair
-masks of the first rows that the matrix keeps, and scans only the pairs
-that the count leaves (see :meth:`_EdgeTest.edges`).
+the hits of every pair completing a ``(u - 2)``-tuple at once, over the
+pair masks that the matrix keeps of its heaviest rows, heaviest first, and
+scans only the pairs that the count leaves (see :meth:`_EdgeTest.edges`).
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
 subset the extension asks about lies inside it.
@@ -65,11 +65,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Optional, Protocol
 
 from .errors import FeasibilityError, ValidationError, _require_int
-from .matrix import BinaryMatrix, ItemSet, OutcomeVector
+from .matrix import _DIGIT_VALUES, BinaryMatrix, ItemSet, OutcomeVector, _mask_to_digits
 from .model import TGTParams, _check_outcome_length
 
 #: default cap on family construction (number of u-subsets enumerated)
@@ -227,7 +227,7 @@ class _EdgeTest:
         if matrix.rows > _SCREEN_ROWS:
             low_rows = (1 << _SCREEN_ROWS) - 1
             self._screen = [mask & low_rows for mask in self._full]
-        self._matrix, self._n, self._u, self._e = matrix, n, u, e
+        self._matrix, self._negatives, self._n, self._u, self._e = matrix, negatives, n, u, e
 
     def completions(self, rest: tuple[int, ...], pool: Iterable[int]) -> list[int]:
         """The ``x`` in ``pool`` (items not in ``rest``) with ``rest + (x,)``
@@ -251,26 +251,30 @@ class _EdgeTest:
         ``(u - 1)``-subset.  For ``u >= 3`` the edges come one *head* at a
         time: a sorted ``(u - 2)``-tuple, whose edges are its pairs
         ``(b, x)`` with ``head[-1] < b < x``.  The head's negative rows
-        within the pair screen (the first rows, which the matrix keeps pair
-        masks for) are read in order, and each adds its pair mask (bit
-        ``b * (n + 1) + x`` for each of the row's pairs) to a hit count per
-        pair, kept in bit planes.  Reading stops when no pair is left below
-        ``e + 1`` hits, or when a checkpoint of 8 rows rejects no pair.  A
-        count over some rows is a lower bound on ``t0``, so that rejects
-        exactly; the pairs left are checked by one :meth:`completions` scan
-        per ``b``.  Nothing is computed past the head of the last edge
-        drawn, so ``next`` on it is a search for the first edge.
+        among those the matrix keeps pair masks for (its heaviest rows of a
+        prefix, see :class:`~tgtkit.matrix._PairRows`; the outcome's
+        negatives are gathered onto them once) are read heaviest first, and
+        each adds its pair mask (bit ``b * (n + 1) + x`` for each of the
+        row's pairs) to a hit count per pair, kept in bit planes.  Reading
+        stops when no pair is left below ``e + 1`` hits, or when a
+        checkpoint of 8 rows rejects no pair.  A count over any rows is a
+        lower bound on ``t0``, so that rejects exactly whichever rows are
+        read, in whatever order: heavy rows first only reject sooner.  The
+        pairs left are checked by one :meth:`completions` scan per ``b``.
+        Nothing is computed past the head of the last edge drawn, so
+        ``next`` on it is a search for the first edge.
         """
-        n, u, e, full = self._n, self._u, self._e, self._full
+        n, u, e = self._n, self._u, self._e
         if u < 3:
             for rest in combinations(range(1, n + 1), u - 1):
                 for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
                     yield rest + (x,)
             return
-        pairs = self._matrix._pair_rows()
-        masks, build = pairs.masks, pairs.build
-        width, in_screen = n + 1, (1 << pairs.count) - 1
-        screen = [mask & in_screen for mask in full]
+        store = self._matrix._pair_rows()
+        masks, build, count = store.masks, store.build, store.count
+        kept = range(count)
+        width, negatives = n + 1, store.gather(self._negatives)
+        screen = [0] + [col & negatives for col in store.cols]  # over the kept rows
         block, every = (1 << width) - 1, (1 << width * width) - 1  # one b's x; all pairs
         upper = sum(((1 << width) - (2 << b)) << b * width for b in range(1, n))  # b < x
         # a pair's count starts at 2**len(plane_ks) - (e + 1), so that its
@@ -279,16 +283,15 @@ class _EdgeTest:
         start = 2 ** len(plane_ks) - (e + 1)
         start_planes = [every if start >> k & 1 else 0 for k in plane_ks]
         for head in combinations(range(1, n - 1), u - 2):
-            rows = in_screen
+            rows = negatives
             for j in head:
                 rows &= screen[j]
             cut = (head[-1] + 1) * width
             alive = upper >> cut << cut  # the pairs after the head
             planes, dead, read = start_planes[:], 0, 0
-            while rows:
-                row = rows & -rows
-                rows ^= row
-                i = row.bit_length() - 1
+            # the head's kept rows, heaviest first, as far as they are read
+            in_rows = _mask_to_digits(rows, count).encode().translate(_DIGIT_VALUES)
+            for i in compress(kept, in_rows):
                 carry = masks[i]
                 if carry is None:
                     carry = build(i)

@@ -51,7 +51,7 @@ from tgtkit.matrix import _PAIR_STORE_BOUND
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
 
 
-#: rows in the pair screen of the u >= 3 edge stream, on a narrow matrix
+#: rows the pair store of the u >= 3 edge stream keeps, on a narrow matrix
 _PAIR_ROWS = _PAIR_STORE_BOUND[0]
 
 
@@ -173,8 +173,9 @@ class TestBuildFamily:
              positive_head=_SCREEN_ROWS, seed=7)
     @example(t=3000, n=8, u=2, e=2, density=0.6, negative_rate=0.0,
              positive_head=0, seed=4)
-    # the pair screen's size, one row below it and one above it; then every
-    # negative row past the pair screen, so the per-b scans alone decide
+    # the pair store's size, one row below it and one above it; then every
+    # negative row past the store's first rows, so that it keeps them only
+    # by weight
     @example(t=_PAIR_ROWS - 1, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
              positive_head=0, seed=8)
     @example(t=_PAIR_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
@@ -223,20 +224,47 @@ class TestBuildFamily:
         assert fam == _build_family_reference(matrix, outcome, u, e)
         assert fam.edges == tuple(sorted(fam.edges))
 
-    @pytest.mark.parametrize("head_rows", (0, _PAIR_ROWS))
-    def test_last_head_holds_the_only_edge(self, head_rows):
-        # each row pools one triple: every triple but (5, 6, 7) sits in two
-        # negative rows, so the only edge is the last head's only pair.
-        # With positive rows first, every negative row is past the pair screen
+    @pytest.mark.parametrize("ones_rows, ones_last", [
+        pytest.param(0, False, id="0"),
+        pytest.param(_PAIR_ROWS, False, id=str(_PAIR_ROWS)),
+        pytest.param(_PAIR_ROWS, True, id=f"{_PAIR_ROWS}-last"),
+    ])
+    def test_last_head_holds_the_only_edge(self, ones_rows, ones_last):
+        # each negative row pools one triple: every triple but (5, 6, 7) sits
+        # in two of them, so the only edge is the last head's only pair.  The
+        # positive rows pool every item, so they are the heaviest and fill the
+        # pair store, before the negative rows or after them: the per-b scans
+        # alone see a negative row
         triples = list(combinations(range(1, 8), 3))[:-1]
-        rows = [[1] * 7] * head_rows + [
-            [int(j in triple) for j in range(1, 8)] for triple in triples * 2
-        ]
+        negative = [[int(j in triple) for j in range(1, 8)] for triple in triples * 2]
+        positive = [[1] * 7] * ones_rows
+        rows = negative + positive if ones_last else positive + negative
         matrix = BinaryMatrix.from_bits(rows)
-        outcome = OutcomeVector.from_bits([1] * head_rows + [0] * (len(rows) - head_rows))
+        outcome = OutcomeVector.from_bits([int(sum(row) == 7) for row in rows])
+        assert bool(matrix._pair_rows().gather(outcome.negatives_mask)) == (not ones_rows)
         fam = build_family(matrix, outcome, 3, 1)
         assert fam.edges == ((5, 6, 7),)
         assert fam == _build_family_reference(matrix, outcome, 3, 1)
+
+    def test_heavy_rows_past_the_first_store_rows(self):
+        # light rows first, then heavier ones past the first 2,048 rows but
+        # within the prefix the store weighs: it keeps those, which a store of
+        # the first rows would miss, heaviest first and tied rows in order
+        rng = random.Random(21)
+        n, light = 9, _PAIR_ROWS + 200
+        rows = [1 << rng.randrange(n) for _ in range(light)] + [
+            rng.getrandbits(n) | rng.getrandbits(n) for _ in range(2 * _PAIR_ROWS)
+        ]
+        matrix = BinaryMatrix(len(rows), n, rows)
+        store = matrix._pair_rows()
+        assert store.count == _PAIR_ROWS and min(store.rows) >= light
+        keys = [(-rows[i].bit_count(), i) for i in store.rows]
+        assert keys == sorted(keys)
+        outcome = OutcomeVector(len(rows), rng.getrandbits(len(rows)) & rng.getrandbits(len(rows)))
+        for u, e in product((3, 4), (0, 1, 2)):
+            assert build_family(matrix, outcome, u, e) == (
+                _build_family_reference(matrix, outcome, u, e)
+            )
 
     @pytest.mark.parametrize("bound", [(_PAIR_ROWS, 0), (1, 1 << 27), (5, 1 << 27)])
     def test_matches_reference_at_any_pair_store_bound(self, monkeypatch, bound):

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from tgtkit import (
     verify_disjunct,
 )
 
-from tgtkit.matrix import _PAIR_STORE_BOUND
+from tgtkit.matrix import _PAIR_STORE_BOUND, _PAIR_STORE_PREFIX
 
 from conftest import GOLDEN_TEXT
 
@@ -419,6 +420,48 @@ def test_pair_store_is_bounded_in_rows_and_bits():
     wide = BinaryMatrix(40, 3000, [(1 << 3000) - 1] * 40)
     count = wide._pair_rows().count
     assert count * 3001**2 <= max_bits < (count + 1) * 3001**2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.integers(1, 120),
+    n=st.integers(1, 6),
+    keep=st.integers(0, 40),
+    density=st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a store of no row, of one row, and rows of one or two weights, so that
+# nearly every row ties with another
+@example(t=50, n=4, keep=0, density=0.5, seed=0)
+@example(t=50, n=4, keep=1, density=0.5, seed=1)
+@example(t=120, n=1, keep=40, density=0.5, seed=2)
+@example(t=120, n=2, keep=40, density=0.5, seed=3)
+@example(t=120, n=6, keep=40, density=1.0, seed=4)
+def test_pair_store_keeps_the_heaviest_prefix_rows_in_order(t, n, keep, density, seed):
+    # many rows of few items: most weights tie, and ties go in row order
+    rng = random.Random(seed)
+    rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)]
+    m = BinaryMatrix(t, n, rows)
+    with mock.patch("tgtkit.matrix._PAIR_STORE_BOUND", (keep, 1 << 27)):
+        store = m._pair_rows()
+    count = min(t, keep)
+    prefix = min(t, _PAIR_STORE_PREFIX * count)
+    weights = [mask.bit_count() for mask in rows]
+    assert store.count == count
+    assert store.rows == tuple(sorted(range(prefix), key=lambda i: (-weights[i], i))[:count])
+    for s, i in enumerate(store.rows):
+        assert [col >> s & 1 for col in store.cols] == [rows[i] >> j & 1 for j in range(n)]
+        pairs = store.build(s)
+        assert pairs == sum(
+            1 << b * (n + 1) + x
+            for b in range(1, n + 1)
+            for x in range(1, n + 1)
+            if rows[i] >> (b - 1) & 1 and rows[i] >> (x - 1) & 1
+        )
+    negatives = rng.getrandbits(t)
+    assert store.gather(negatives) == sum(
+        1 << s for s, i in enumerate(store.rows) if negatives >> i & 1
+    )
 
 
 def test_two_item_decode_keeps_no_pair_rows():
