@@ -30,7 +30,7 @@ leaves the double range, and return integer row counts.
 fixed ``S2`` with all-ones rows ``R``, a zeros-set ``S1`` fails exactly when
 its ``d`` columns hit all but at most ``z - 1`` rows of ``R``: a partial
 set-cover question, answered by an exact branch-and-bound search
-(``_can_cover``).  Only the first ones-set for which it answers yes is
+(``_can_cover``), which starts from the design's row weights.  Only the first ones-set for which it answers yes is
 walked pair by pair, to report the lexicographically first failing pair.
 """
 
@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from .errors import FeasibilityError, ValidationError, _require_int
-from .matrix import BinaryMatrix, ItemSet
+from .matrix import BinaryMatrix, ItemSet, _rows_holding
 
 #: refuse to materialize random matrices above this many entries
 GENERATION_ENTRY_BUDGET = 200_000_000
@@ -376,7 +376,8 @@ class VerifyResult:
     witness: Optional[DisjunctWitness] = None
 
 
-def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
+def _can_cover(hits: list[int], uncovered: int, k: int, spare: int,
+               counts: Optional[tuple[int, int]] = None) -> bool:
     """Whether at most ``k >= 1`` of the masks ``hits`` leave at most
     ``spare`` bits of ``uncovered`` unset by their union.
 
@@ -396,7 +397,16 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
     holders excluded, and then, while ``spare`` lasts, that bit left unset
     with all its holders dropped.  Nodes with ``k <= 2`` are decided
     directly.
+
+    ``counts``, when given with ``k >= 3``, is the first node's marks: the
+    bits of ``uncovered`` held by at least one and by at least two of
+    ``hits``.  That node then skips its holder count, and its masks may
+    hold bits outside ``uncovered``: it takes them in as they are for the
+    forced step, and cuts them to ``uncovered`` only to weigh gains,
+    enumerate completions or branch.
     """
+    if k < 3:
+        counts = None
     stack = [(hits, uncovered, k, spare)]
     while stack:
         hits, uncovered, k, spare = stack.pop()
@@ -405,16 +415,21 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
             if need <= 0 or any((m & uncovered).bit_count() >= need for m in hits):
                 return True
             continue
-        # from here every mask lies inside uncovered, so ^ takes its bits out
-        hits = [h for m in hits if (h := m & uncovered)]
-        if k == 2:
-            if _can_cover_pair(hits, uncovered.bit_count() - spare):
-                return True
-            continue
-        held = twice = 0  # the bits held at least once, at least twice
-        for h in hits:
-            twice |= held & h
-            held |= h
+        loose = counts is not None  # hits may hold bits outside uncovered
+        if loose:
+            held, twice = counts
+            counts = None
+        else:
+            # from here every mask lies inside uncovered, so ^ takes its bits out
+            hits = [h for m in hits if (h := m & uncovered)]
+            if k == 2:
+                if _can_cover_pair(hits, uncovered.bit_count() - spare):
+                    return True
+                continue
+            held = twice = 0  # the bits held at least once, at least twice
+            for h in hits:
+                twice |= held & h
+                held |= h
         spare -= (uncovered ^ held).bit_count()
         if spare < 0:
             continue
@@ -429,11 +444,16 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int) -> bool:
                 union = 0
                 for h in forced:
                     union |= h
+                union &= uncovered
                 if union == uncovered:
                     return True
                 if len(forced) < k:
                     stack.append((hits, uncovered ^ union, k - len(forced), 0))
             continue
+        if loose:
+            hits = [h for m in hits if (h := m & uncovered)]
+            if len(hits) <= k:
+                return True
         gains = sorted(map(int.bit_count, hits))
         if size - sum(gains[-k:]) > spare:
             continue
@@ -514,8 +534,13 @@ def verify_disjunct(
 ) -> VerifyResult:
     """Exactly decide the ``(n, d, r; z]``-disjunct property.
 
-    Walks the size-``r`` ones-sets in lexicographic order.  For each, an
-    exact cover search decides whether any size-``d`` zeros-set fails, so
+    Walks the size-``r`` ones-sets in lexicographic order.  Each of a
+    ones-set's rows holds its ``r`` columns, so the rows that hold ``r + 1``
+    and ``r + 2`` columns or more, counted once per design, are among them
+    the rows that some other column holds and that two others hold.  A
+    ones-set with at least ``z`` rows that no other column holds passes at
+    once.  For the rest an exact cover search, whose first node starts from
+    those two masks, decides whether any size-``d`` zeros-set fails, so
     most ones-sets cost a few search nodes instead of ``C(n - r, d)`` pairs;
     when that inner space has at most 64 pairs they are checked directly.
     The zeros-sets of the first ones-set that fails are walked in
@@ -531,19 +556,31 @@ def verify_disjunct(
         raise ValidationError(f"need d + r <= n, got d={d} r={r} n={n}")
     _check_pair_cap(n, d, r, pair_cap)
     cols = matrix.col_masks
-    full = (1 << matrix.rows) - 1
+    at_least = _rows_holding(cols, matrix.rows, r + 2)
+    full, held_rows, twice_rows = at_least[0], at_least[r + 1], at_least[r + 2]
     search = math.comb(n - r, d) > _DIRECT_COMPLETIONS
+    others = [True] * n  # others[j]: column j is outside the ones-set
     for s2 in combinations(range(n), r):
         ones = full
         for j in s2:
             ones &= cols[j]
-        rest = [j for j in range(n) if j not in s2]
-        if search and not _can_cover([cols[j] for j in rest], ones, d, z - 1):
-            continue
-        for s1 in combinations(rest, d):
+        held = ones & held_rows
+        if (ones ^ held).bit_count() >= z:
+            continue  # at least z rows that no zeros-set can hit
+        if search:
+            for j in s2:
+                others[j] = False
+            hits = list(compress(cols, others))
+            for j in s2:
+                others[j] = True
+            if not _can_cover(hits, ones, d, z - 1, (held, ones & twice_rows)):
+                continue
+        # ANDs with these take fewer steps than with ~col, a negative int
+        complements = [full ^ col for col in cols]
+        for s1 in combinations([j for j in range(n) if j not in s2], d):
             covered = ones
             for j in s1:
-                covered &= ~cols[j]
+                covered &= complements[j]
             if covered.bit_count() < z:
                 return VerifyResult(
                     False,

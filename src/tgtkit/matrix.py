@@ -230,6 +230,18 @@ def _canonical_body(text: str) -> tuple[int, int, str]:
     return t, n, body
 
 
+def _rows_holding(col_masks: Iterable[int], rows: int, top: int) -> list[int]:
+    """``at_least[k]`` for ``k`` in ``0..top``: the mask of the rows, among the
+    ``rows`` bits, that hold ``k`` or more of the columns ``col_masks``.  The
+    counts are bit-sliced and saturate at ``top``: each column lifts the rows
+    it holds from ``at_least[k - 1]`` into ``at_least[k]``, top level first."""
+    at_least = [(1 << rows) - 1] + [0] * top
+    for col in col_masks:
+        for k in range(top, 0, -1):
+            at_least[k] |= at_least[k - 1] & col
+    return at_least
+
+
 def _heaviest_rows(col_masks: Iterable[int], prefix: int, keep: int) -> list[int]:
     """The 0-based indices of the ``keep`` rows of the first ``prefix`` that
     hold the most items, heaviest first and tied rows in index order, from the

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .disjunct import _sample_digits
 from .errors import ValidationError, _parse_int, _require_int, _require_real, _split_list
-from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _check_flip_rows
+from .matrix import BinaryMatrix, ItemSet, OutcomeVector, _check_flip_rows, _rows_holding
 from .matrix import _digits_to_mask, _mask_to_digits, _mask_to_positions, _positions_to_mask
 
 
@@ -215,14 +215,10 @@ def _rows_pooling(
 ) -> tuple[int, int]:
     """Masks of the rows that pool more than ``ell`` and at least ``u`` of
     the defectives: the rows not certainly negative, and the rows certainly
-    positive.  ``at_least[k]`` holds the rows with ``k`` or more of the
-    columns seen so far (bit-sliced counts, saturating at ``u``)."""
+    positive."""
     defectives.to_mask(matrix.cols)  # validates the range
-    at_least = [(1 << matrix.rows) - 1] + [0] * u
-    for j in defectives:
-        col = matrix.col_masks[j - 1]
-        for k in range(u, 0, -1):
-            at_least[k] |= at_least[k - 1] & col
+    cols = matrix.col_masks
+    at_least = _rows_holding([cols[j - 1] for j in defectives], matrix.rows, u)
     return at_least[ell + 1], at_least[u]
 
 

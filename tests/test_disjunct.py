@@ -34,6 +34,7 @@ from tgtkit import (
 
 from tgtkit import disjunct
 from tgtkit.disjunct import _can_cover, _sample_digits
+from tgtkit.matrix import _rows_holding
 
 from conftest import GOLDEN_TEXT, naive_verify_disjunct
 
@@ -476,6 +477,55 @@ def test_verify_matches_naive_oracle(case):
     )
 
 
+@st.composite
+def _weighted_row_cases(draw):
+    """A design whose first ones-set, columns ``1..r``, which the verifier
+    decides first, has rows of weight exactly ``r`` (held by no other column:
+    fewer than, exactly or more than ``z - 1``) and of weight exactly ``r + 1``
+    (their other columns are forced when no row may be spared: fewer than,
+    exactly or more than ``d``).  Rows that some other columns hold (a cover
+    of the rest or not) and random rows at the construction's density fill
+    it up to what the naive oracle affords."""
+    n, r, d = draw(st.sampled_from(_SEARCHED_SHAPES) | st.sampled_from(_DIRECT_SHAPES))
+    z = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ones = (1 << r) - 1
+    others = range(r, n)
+    lone = max(0, z - 1 + draw(st.integers(-1, 1)))
+    forced = min(n - r, max(1, d + draw(st.integers(-1, 1))))
+    rows = [ones] * lone + [ones | 1 << j for j in rng.sample(others, forced)]
+    for _ in range(draw(st.integers(0, d + 1))):
+        rows.append(ones | sum(1 << j for j in rng.sample(others, min(n - r, 2))))
+    pairs = math.comb(n, r) * math.comb(n - r, d)
+    p = r / (d + r)
+    for _ in range(draw(st.integers(0, max(0, 40_000 // pairs - len(rows))))):
+        rows.append(sum(1 << j for j in range(n) if rng.random() < p))
+    rows = draw(st.permutations(rows))
+    return BinaryMatrix(len(rows), n, tuple(rows)), d, r, z
+
+
+# ones-set {1, 2} of n = 10 with no cover (the first failing pair is
+# ({1, 3}, {2, 4, 5, 6})): at z = 1, columns 3-5 forced and no fourth
+# column in both the row with 6 and 7 and the row with 8 and 9; at z = 3,
+# one row held by no other column and six single-holder rows, so nothing
+# is forced and four columns leave two of them
+_PAIR = 0b11
+_THREE_FORCED = [_PAIR | 1 << 2, _PAIR | 1 << 3, _PAIR | 1 << 4,
+                 _PAIR | 1 << 5 | 1 << 6, _PAIR | 1 << 7 | 1 << 8]
+_SPARE_LEFT = [_PAIR] + [_PAIR | 1 << j for j in range(2, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_row_cases())
+@example((BinaryMatrix(5, 10, tuple(_THREE_FORCED)), 4, 2, 1))
+@example((BinaryMatrix(7, 10, tuple(_SPARE_LEFT)), 4, 2, 3))
+def test_verify_matches_naive_oracle_on_rows_of_weight_r_and_r_plus_1(case):
+    matrix, d, r, z = case
+    assert _verdict(verify_disjunct(matrix, d, r, z)) == naive_verify_disjunct(
+        matrix, d, r, z
+    )
+
+
 def _brute_can_cover(hits, uncovered, k, spare):
     for size in range(min(k, len(hits)) + 1):
         for combo in combinations(hits, size):
@@ -565,11 +615,17 @@ _MORE_FORCED = [0b10001, 0b100010, 0b10100, 0b101000, 0b110000,
 @example(([0b0011, 0b0110, 0b0101], 0b1111, 2, 0))
 @example(([0b0011, 0b0100, 0b1000], 0b1111, 2, 0))
 @example(([0b0111], 0b1111, 2, 1))
+# given the first node's marks, k forced masks that set every bit, one of
+# them also bit 0 outside uncovered, and a fourth mask only there
+@example(([0b0011, 0b0100, 0b1000, 0b0001], 0b1110, 3, 0))
 def test_can_cover_matches_brute_force(case):
     hits, uncovered, k, spare = case
-    assert _can_cover(list(hits), uncovered, k, spare) == _brute_can_cover(
-        hits, uncovered, k, spare
-    )
+    expected = _brute_can_cover(hits, uncovered, k, spare)
+    assert _can_cover(list(hits), uncovered, k, spare) == expected
+    # the first node's marks given, as verify_disjunct gives them, with the
+    # masks left as they are: bits outside uncovered included
+    at_least = _rows_holding([m & uncovered for m in hits], uncovered.bit_length(), 2)
+    assert _can_cover(list(hits), uncovered, k, spare, (at_least[1], at_least[2])) == expected
 
 
 class TestVerifyAtScale:
