@@ -14,10 +14,7 @@ from typing import Optional, Sequence
 
 from .analysis import FORMULA_IDS, appendix_gap_check, complexity
 from .decode import ALGORITHMS, _diagnostics, decode
-from .disjunct import (
-    ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, generate, generate_verified,
-    verify_disjunct,
-)
+from .disjunct import ROW_BOUNDS, SAMPLING_VARIANTS, VERIFY_PAIR_CAP, _draw, verify_disjunct
 from .errors import (
     EnvelopeDefectError, TGTError, ValidationError, _parse_int, _parse_ints, _parse_real,
     _split_list,
@@ -66,22 +63,17 @@ def _int_flags(parser: argparse.ArgumentParser, required: str, **defaults) -> No
 
 
 def _cmd_gen(args) -> int:
-    if args.verify:
-        if args.variant is not None:
-            raise ValidationError(
-                "--variant cannot be combined with --verify, which always "
-                "samples the thm4 row count"
-            )
-        result = generate_verified(
-            args.n, args.d, args.u, args.z, args.seed,
-            max_attempts=args.max_attempts, rows=args.rows,
+    if args.verify and args.variant is not None:
+        raise ValidationError(
+            "--variant cannot be combined with --verify, which always "
+            "samples the thm4 row count"
         )
-        matrix = result.matrix
-        summary = f"rows={matrix.rows} cols={matrix.cols} attempts={result.attempts}"
-    else:
-        matrix = generate(args.n, args.d, args.u, args.z, args.seed,
-                          args.variant or "thm4", rows=args.rows)
-        summary = f"rows={matrix.rows} cols={matrix.cols}"
+    kind = "verified" if args.verify else args.variant or "thm4"
+    matrix, attempts = _draw(args.n, args.d, args.u, args.z, args.seed, kind,
+                             args.rows, args.max_attempts)
+    summary = f"rows={matrix.rows} cols={matrix.cols}"
+    if attempts is not None:
+        summary += f" attempts={attempts}"
     if args.out == "-":
         # keep stdout a clean matrix stream
         sys.stdout.write(matrix.to_text())

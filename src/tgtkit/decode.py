@@ -29,7 +29,8 @@ is one screened column scan: the ``x`` that complete a sorted
 ``(u - 1)``-tuple to an edge.  The enumeration, which :func:`build_family`
 shares, is that scan once per item for ``u = 2``; for ``u >= 3`` it counts
 the hits of every pair completing a ``(u - 2)``-tuple at once, over the
-pair masks that the matrix keeps of its heaviest rows, heaviest first, and
+pair masks of the matrix's heaviest rows, heaviest first (a store made
+once per matrix and kept with it, see :class:`_PairRows`), and
 scans only the pairs that the count leaves (see :meth:`_EdgeTest.edges`).
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
@@ -65,11 +66,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress, count
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Protocol
 
 from .errors import FeasibilityError, ValidationError, _require_int
-from .matrix import _DIGIT_VALUES, BinaryMatrix, ItemSet, OutcomeVector, _mask_to_digits
+from .matrix import (
+    _DIGIT_VALUES, BinaryMatrix, ItemSet, OutcomeVector, _count_planes, _mask_to_digits,
+)
 from .model import TGTParams, _check_outcome_length
 
 #: default cap on family construction (number of u-subsets enumerated)
@@ -170,6 +174,99 @@ class DecodeResult:
 #: exceeds ``e`` is rejected without a full-width intersection
 _SCREEN_ROWS = 512
 
+#: bound on the pair store of a matrix, as (rows, bits): each of
+#: ``(cols + 1) ** 2`` bits (2048 rows of 3,721 bits at n=60, about 1 MB in
+#: all; 16 MB at most)
+_PAIR_STORE_BOUND = (2048, 1 << 27)
+
+#: the kept pair rows are the heaviest of the first ``_PAIR_STORE_PREFIX``
+#: times as many rows (8,192 rows at n=60): only that prefix is weighed
+_PAIR_STORE_PREFIX = 4
+
+
+def _heaviest_rows(col_masks: Iterable[int], prefix: int, keep: int) -> list[int]:
+    """The 0-based indices of the ``keep`` rows of the first ``prefix`` that
+    hold the most items, heaviest first and tied rows in index order, from the
+    column masks.  The rows' item counts are kept in bit planes
+    (:func:`~tgtkit.matrix._count_planes`), and the rows are split by one
+    plane at a time from the top: the groups of equal count come out
+    heaviest first, each read as positions from its digits."""
+    low = (1 << prefix) - 1
+    groups = [low]
+    for plane in reversed(_count_planes(col & low for col in col_masks)):
+        groups = [part for group in groups for part in (group & plane, group & ~plane) if part]
+    rows: list[int] = []
+    spec = f"0{prefix}b"
+    for group in groups:
+        if len(rows) >= keep:
+            break
+        # the k-th set bit follows the first k runs of zeros and k ones
+        zeros = format(group, spec)[::-1].split("1")[:-1]
+        rows += map(add, accumulate(map(len, zeros)), count())
+    return rows[:keep]
+
+
+class _PairRows:
+    """Pair masks of a matrix's heaviest rows: the ``count`` rows of the
+    first ``_PAIR_STORE_PREFIX * count`` that hold the most items, kept in
+    that order, ties in row order.  A row holding ``k`` items rejects up to
+    ``C(k, 2)`` pairs, so the edge stream reads these first.
+
+    ``rows[s]`` is the 0-based index of the ``s``-th kept row, bit ``s`` of
+    ``cols[j]`` is set when that row holds item ``j + 1``, and
+    :meth:`gather` maps a mask over all rows to one over the kept rows.
+    Bit ``b * (cols + 1) + x`` of ``masks[s]``, built on first read, is set
+    when kept row ``s`` holds items ``b`` and ``x``.  The row's items ``b``
+    are spread to bits ``b * (cols + 1)``, and the spread is multiplied by
+    the row: each item's product lies in a block of its own, so nothing
+    carries.
+    """
+
+    def __init__(self, matrix: BinaryMatrix) -> None:
+        n = matrix.cols
+        width = n + 1
+        max_rows, max_bits = _PAIR_STORE_BOUND
+        self.count = count = min(matrix.rows, max_rows, max_bits // width**2)
+        prefix = min(matrix.rows, _PAIR_STORE_PREFIX * count)
+        self.rows = rows = tuple(_heaviest_rows(matrix.col_masks, prefix, count))
+        # the kept rows' digits, last item first, laid end to end from the
+        # last kept row: the prefix's columns as digits, last column and
+        # last row first, hold row i's digits every prefix-th from prefix - 1 - i
+        self._low, self._spec = low, spec = (1 << prefix) - 1, f"0{prefix}b"
+        columns = "".join(format(col & low, spec) for col in reversed(matrix.col_masks))
+        self._digits = "".join([columns[prefix - 1 - i :: prefix] for i in reversed(rows)])
+        self.cols = tuple(int(self._digits[n - 1 - j :: n] or "0", 2) for j in range(n))
+        self._pick = itemgetter(*[prefix - 1 - i for i in reversed(rows)]) if rows else None
+        self._n, self._bytes = n, (width + 7) // 8  # of a row shifted to bits 1..cols
+        # each byte value with bit k moved to bit k * width: ``width`` bytes,
+        # so a row's bytes spread to their spreads laid end to end
+        spread = [0]
+        for value in range(1, 256):
+            spread.append(spread[value >> 1] << width | value & 1)
+        self._spread = [value.to_bytes(width, "little") for value in spread]
+        self.masks: list[Optional[int]] = [None] * count
+
+    @classmethod
+    def of(cls, matrix: BinaryMatrix) -> "_PairRows":
+        """The matrix's store, made on first call and kept with it."""
+        return matrix._derived("_pair_store", cls)
+
+    def gather(self, mask: int) -> int:
+        """The mask over the kept rows whose bit ``s`` is bit ``rows[s]`` of
+        ``mask``, a mask over the matrix's rows."""
+        if self._pick is None:
+            return 0
+        return int("".join(self._pick(format(mask & self._low, self._spec))), 2)
+
+    def build(self, s: int) -> int:
+        """Kept row ``s``'s pair mask, built and kept (threads that race
+        here store equal masks)."""
+        at = (self.count - 1 - s) * self._n
+        row = int(self._digits[at : at + self._n], 2) << 1
+        spread = b"".join(map(self._spread.__getitem__, row.to_bytes(self._bytes, "little")))
+        mask = self.masks[s] = int.from_bytes(spread, "little") * row
+        return mask
+
 
 def build_family(
     matrix: BinaryMatrix,
@@ -195,8 +292,8 @@ class _EdgeTest:
     screen rejects exactly.  ``T in tester`` scans ``T``'s last item alone.
     :meth:`edges` is the lexicographic edge stream: for ``u <= 2`` one scan
     per ``(u - 1)``-subset, and for ``u >= 3`` one pass over the rows per
-    head (see there).  Nothing is kept between questions but the matrix's
-    pair masks.
+    head (see there).  Nothing is kept between questions but the pair
+    store's masks (see :class:`_PairRows`).
     """
 
     def __init__(
@@ -251,9 +348,9 @@ class _EdgeTest:
         ``(u - 1)``-subset.  For ``u >= 3`` the edges come one *head* at a
         time: a sorted ``(u - 2)``-tuple, whose edges are its pairs
         ``(b, x)`` with ``head[-1] < b < x``.  The head's negative rows
-        among those the matrix keeps pair masks for (its heaviest rows of a
-        prefix, see :class:`~tgtkit.matrix._PairRows`; the outcome's
-        negatives are gathered onto them once) are read heaviest first, and
+        among those the pair store keeps (its heaviest rows of a prefix,
+        see :class:`_PairRows`; the outcome's negatives are gathered onto
+        them once) are read heaviest first, and
         each adds its pair mask (bit ``b * (n + 1) + x`` for each of the
         row's pairs) to a hit count per pair, kept in bit planes.  Reading
         stops when no pair is left below ``e + 1`` hits, or when a
@@ -270,7 +367,7 @@ class _EdgeTest:
                 for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
                     yield rest + (x,)
             return
-        store = self._matrix._pair_rows()
+        store = _PairRows.of(self._matrix)
         masks, build, count = store.masks, store.build, store.count
         kept = range(count)
         width, negatives = n + 1, store.gather(self._negatives)

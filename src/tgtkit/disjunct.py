@@ -43,7 +43,7 @@ from itertools import combinations, compress
 from typing import Optional
 
 from .errors import FeasibilityError, ValidationError, _require_int
-from .matrix import BinaryMatrix, ItemSet, _rows_holding
+from .matrix import BinaryMatrix, ItemSet, _count_planes, _rows_holding
 
 #: refuse to materialize random matrices above this many entries
 GENERATION_ENTRY_BUDGET = 200_000_000
@@ -468,19 +468,8 @@ def _can_cover(hits: list[int], uncovered: int, k: int, spare: int,
             continue
         rarest = single
         if not rarest:
-            planes: list[int] = []  # planes[i]: bit i of each row's holder count
-            for h in hits:
-                i = 0
-                while h:
-                    if i == len(planes):
-                        planes.append(h)
-                        break
-                    plane = planes[i]
-                    planes[i] = plane ^ h
-                    h &= plane
-                    i += 1
             rarest = held
-            for plane in reversed(planes):
+            for plane in reversed(_count_planes(hits)):
                 if rarest & ~plane:
                     rarest &= ~plane
         bit = rarest & -rarest
@@ -558,6 +547,8 @@ def verify_disjunct(
     cols = matrix.col_masks
     at_least = _rows_holding(cols, matrix.rows, r + 2)
     full, held_rows, twice_rows = at_least[0], at_least[r + 1], at_least[r + 2]
+    # ANDs with these take fewer steps than with ~col, a negative int
+    complements = [full ^ col for col in cols]
     search = math.comb(n - r, d) > _DIRECT_COMPLETIONS
     others = [True] * n  # others[j]: column j is outside the ones-set
     for s2 in combinations(range(n), r):
@@ -575,8 +566,6 @@ def verify_disjunct(
                 others[j] = True
             if not _can_cover(hits, ones, d, z - 1, (held, ones & twice_rows)):
                 continue
-        # ANDs with these take fewer steps than with ~col, a negative int
-        complements = [full ^ col for col in cols]
         for s1 in combinations([j for j in range(n) if j not in s2], d):
             covered = ones
             for j in s1:
@@ -628,3 +617,13 @@ def generate_verified(
         f"no verified ({n}, {d}, {u}; {z}]-disjunct matrix within "
         f"{max_attempts} attempts"
     )
+
+
+def _draw(n: int, d: int, u: int, z: int, seed: int, kind: str, rows: Optional[int],
+          max_attempts: int) -> tuple[BinaryMatrix, Optional[int]]:
+    """A design of ``kind`` (one of :data:`GENERATE_KINDS`) and, for
+    ``verified``, the attempts :func:`generate_verified` took (else None)."""
+    if kind == "verified":
+        result = generate_verified(n, d, u, z, seed, max_attempts, rows=rows)
+        return result.matrix, result.attempts
+    return generate(n, d, u, z, seed, kind, rows=rows), None

@@ -8,9 +8,7 @@ Conventions used across the package:
   ``j - 1`` standing for item ``j``; a column is likewise a bitmask over
   rows.  All set intersections reduce to ``&`` plus a popcount.
 * A :class:`BinaryMatrix` is stored as its column masks, the only masks
-  the kernels read; its row masks are built from them on first read, and
-  so is the edge stream's pair store: its heaviest rows of a bounded
-  prefix, in weight order, whose pair masks are built as they are read.
+  the kernels read; its row masks are built from them on first read.
   Matrix text is read and written one column at a time, as a strided
   slice of the rows' lines.
 * An outcome ``OutcomeVector(t, positives)`` is a mask too, with bit ``i - 1`` set
@@ -32,10 +30,9 @@ An integer read from text (here, at the CLI or in a spec file) is an optional
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
-from operator import add, itemgetter
+from itertools import compress, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError, _parse_ints, _require_int
 
@@ -47,15 +44,6 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: writes into it (97,847 x 200 on a 2-vCPU Xeon, Python 3.11: about 230 ms
 #: unblocked, 110-130 ms in blocks)
 _TEXT_BLOCK_ROWS = 4096
-
-#: bound on the pair masks a matrix keeps, as (rows, bits): each of
-#: ``(cols + 1) ** 2`` bits (2048 rows of 3,721 bits at n=60, about 1 MB in
-#: all; 16 MB at most)
-_PAIR_STORE_BOUND = (2048, 1 << 27)
-
-#: the kept pair rows are the heaviest of the first ``_PAIR_STORE_PREFIX``
-#: times as many rows (8,192 rows at n=60): only that prefix is weighed
-_PAIR_STORE_PREFIX = 4
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -242,92 +230,22 @@ def _rows_holding(col_masks: Iterable[int], rows: int, top: int) -> list[int]:
     return at_least
 
 
-def _heaviest_rows(col_masks: Iterable[int], prefix: int, keep: int) -> list[int]:
-    """The 0-based indices of the ``keep`` rows of the first ``prefix`` that
-    hold the most items, heaviest first and tied rows in index order, from the
-    column masks.  Each row's item count is kept bit-sliced (bit ``i`` of
-    ``planes[k]`` is bit ``k`` of row ``i``'s count), and the rows are split
-    by one plane at a time from the top: the groups of equal count come out
-    heaviest first, each read as positions from its digits."""
+def _count_planes(masks: Iterable[int]) -> list[int]:
+    """How many of ``masks`` hold each bit, bit-sliced: bit ``i`` of
+    ``planes[k]`` is bit ``k`` of the count at bit ``i``.  Each mask is
+    added as a carry through the planes, which grow as the counts need."""
     planes: list[int] = []
-    low = (1 << prefix) - 1
-    for carry in col_masks:
-        carry &= low
+    for carry in masks:
         k = 0
         while carry:
             if k == len(planes):
-                planes.append(0)
-            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+                planes.append(carry)
+                break
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
             k += 1
-    groups = [low]
-    for plane in reversed(planes):
-        groups = [part for group in groups for part in (group & plane, group & ~plane) if part]
-    rows: list[int] = []
-    spec = f"0{prefix}b"
-    for group in groups:
-        if len(rows) >= keep:
-            break
-        # the k-th set bit follows the first k runs of zeros and k ones
-        zeros = format(group, spec)[::-1].split("1")[:-1]
-        rows += map(add, accumulate(map(len, zeros)), count())
-    return rows[:keep]
-
-
-class _PairRows:
-    """Pair masks of a matrix's heaviest rows: the ``count`` rows of the
-    first ``_PAIR_STORE_PREFIX * count`` that hold the most items, kept in
-    that order, ties in row order.  A row holding ``k`` items rejects up to
-    ``C(k, 2)`` pairs, so the edge stream reads these first.
-
-    ``rows[s]`` is the 0-based index of the ``s``-th kept row, bit ``s`` of
-    ``cols[j]`` is set when that row holds item ``j + 1``, and
-    :meth:`gather` maps a mask over all rows to one over the kept rows.
-    Bit ``b * (cols + 1) + x`` of ``masks[s]``, built on first read, is set
-    when kept row ``s`` holds items ``b`` and ``x``.  The row's items ``b``
-    are spread to bits ``b * (cols + 1)``, and the spread is multiplied by
-    the row: each item's product lies in a block of its own, so nothing
-    carries.
-    """
-
-    def __init__(self, matrix: "BinaryMatrix") -> None:
-        n = matrix.cols
-        width = n + 1
-        max_rows, max_bits = _PAIR_STORE_BOUND
-        self.count = count = min(matrix.rows, max_rows, max_bits // width**2)
-        prefix = min(matrix.rows, _PAIR_STORE_PREFIX * count)
-        self.rows = rows = tuple(_heaviest_rows(matrix.col_masks, prefix, count))
-        # the kept rows' digits, last item first, laid end to end from the
-        # last kept row: the prefix's columns as digits, last column and
-        # last row first, hold row i's digits every prefix-th from prefix - 1 - i
-        self._low, self._spec = low, spec = (1 << prefix) - 1, f"0{prefix}b"
-        columns = "".join(format(col & low, spec) for col in reversed(matrix.col_masks))
-        self._digits = "".join([columns[prefix - 1 - i :: prefix] for i in reversed(rows)])
-        self.cols = tuple(int(self._digits[n - 1 - j :: n] or "0", 2) for j in range(n))
-        self._pick = itemgetter(*[prefix - 1 - i for i in reversed(rows)]) if rows else None
-        self._n, self._bytes = n, (width + 7) // 8  # of a row shifted to bits 1..cols
-        # each byte value with bit k moved to bit k * width: ``width`` bytes,
-        # so a row's bytes spread to their spreads laid end to end
-        spread = [0]
-        for value in range(1, 256):
-            spread.append(spread[value >> 1] << width | value & 1)
-        self._spread = [value.to_bytes(width, "little") for value in spread]
-        self.masks: list[Optional[int]] = [None] * count
-
-    def gather(self, mask: int) -> int:
-        """The mask over the kept rows whose bit ``s`` is bit ``rows[s]`` of
-        ``mask``, a mask over the matrix's rows."""
-        if self._pick is None:
-            return 0
-        return int("".join(self._pick(format(mask & self._low, self._spec))), 2)
-
-    def build(self, s: int) -> int:
-        """Kept row ``s``'s pair mask, built and kept (threads that race
-        here store equal masks)."""
-        at = (self.count - 1 - s) * self._n
-        row = int(self._digits[at : at + self._n], 2) << 1
-        spread = b"".join(map(self._spread.__getitem__, row.to_bytes(self._bytes, "little")))
-        mask = self.masks[s] = int.from_bytes(spread, "little") * row
-        return mask
+    return planes
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -335,10 +253,9 @@ class BinaryMatrix:
     """A ``t x n`` 0/1 measurement matrix (rows are tests, columns items).
 
     It is stored as its column masks; ``row_masks`` is built from them when
-    first read, and so is the edge stream's pair store of its heaviest rows
-    (see :class:`_PairRows`; at most ``_PAIR_STORE_BOUND``), whose pair
-    masks are built as each is first read.  Equality, hashing,
-    ``repr``, pickles and copies depend on the entries alone.
+    first read, and kept by :meth:`_derived`, as is what a decoder derives
+    from the entries.  Equality, hashing, ``repr``, pickles and copies
+    depend on the entries alone.
     """
 
     rows: int
@@ -379,22 +296,19 @@ class BinaryMatrix:
     def row_masks(self) -> tuple[int, ...]:
         """The ``rows`` row masks, bit ``j - 1`` of row ``i`` being entry
         ``(i, j)``; built from the columns on first read."""
-        masks = self.__dict__.get("_row_masks")
-        if masks is None:  # threads that race here store equal tuples
-            masks = self.__dict__["_row_masks"] = _transpose(self.col_masks, self.rows)
-        return masks
+        return self._derived("_row_masks", lambda m: _transpose(m.col_masks, m.rows))
 
-    def _pair_rows(self) -> _PairRows:
-        """The pair store of the heaviest rows of a prefix, made on first
-        call and kept."""
-        store = self.__dict__.get("_pair_store")
-        if store is None:  # threads that race here all keep the first store
-            store = self.__dict__.setdefault("_pair_store", _PairRows(self))
-        return store
+    def _derived(self, name: str, make: Callable[["BinaryMatrix"], Any]) -> Any:
+        """The value kept under ``name``, made by ``make(self)`` on first
+        call; threads that race here all keep the first value."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = self.__dict__.setdefault(name, make(self))
+        return value
 
     def __getstate__(self) -> dict:
-        """The fields alone: a copy or an unpickled matrix builds its own
-        row and pair masks when it reads them."""
+        """The fields alone: a copy or an unpickled matrix derives its own
+        values when it reads them."""
         return {"rows": self.rows, "cols": self.cols, "col_masks": self.col_masks}
 
     def __repr__(self) -> str:

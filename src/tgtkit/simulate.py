@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .decode import _check_algorithm, check_envelope, decode
-from .disjunct import GENERATE_KINDS, ROW_BOUNDS, _sample_plan, generate, generate_verified
+from .disjunct import GENERATE_KINDS, ROW_BOUNDS, _draw, _sample_plan
 from .errors import ValidationError, _parse_int, _parse_real, _require_int
 from .matrix import BinaryMatrix, ItemSet, _read_text
 from .model import GapPolicy, NoiseSpec, TGTParams, _check_noise, encode
@@ -378,17 +378,9 @@ def _resolve_matrix(spec: ExperimentSpec) -> tuple[BinaryMatrix, Optional[int]]:
                 f"matrix has {matrix.cols} columns but spec says n={p.n}"
             )
         return matrix, None
-    d_eff = p.d - p.ell
-    if spec.generate_kind == "verified":
-        result = generate_verified(
-            p.n, d_eff, p.u, p.z, spec.seed, spec.max_attempts, rows=spec.rows_override
-        )
-        return result.matrix, result.attempts
     assert spec.generate_kind is not None
-    matrix = generate(
-        p.n, d_eff, p.u, p.z, spec.seed, spec.generate_kind, rows=spec.rows_override
-    )
-    return matrix, None
+    return _draw(p.n, p.d - p.ell, p.u, p.z, spec.seed, spec.generate_kind,
+                 spec.rows_override, spec.max_attempts)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import math
 import random
 import re
@@ -35,6 +36,7 @@ from tgtkit import (
     w_bound,
 )
 from tgtkit.decode import (
+    _PAIR_STORE_BOUND,
     _SCREEN_ROWS,
     ALGORITHMS,
     EXTENSION_STEP_CAP,
@@ -42,11 +44,11 @@ from tgtkit.decode import (
     Family,
     _EdgeSet,
     _EdgeTest,
+    _PairRows,
     _first_u_complete_extension,
     _greedy_union,
     _swap_extend,
 )
-from tgtkit.matrix import _PAIR_STORE_BOUND
 
 from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, gap_rows_for
 
@@ -126,6 +128,7 @@ class TestBuildFamily:
             (2, 0.0, r"^e must be an integer, got 0\.0$"),
             (2, True, r"^e must be an integer, got True$"),
             (2, "1", r"^e must be an integer, got '1'$"),
+            (7, 0, r"^u=7 exceeds the number of items 6$"),
         ],
     )
     def test_u_and_e_are_validated(self, golden_matrix, golden_outcome, u, e, message):
@@ -241,7 +244,7 @@ class TestBuildFamily:
         rows = negative + positive if ones_last else positive + negative
         matrix = BinaryMatrix.from_bits(rows)
         outcome = OutcomeVector.from_bits([int(sum(row) == 7) for row in rows])
-        assert bool(matrix._pair_rows().gather(outcome.negatives_mask)) == (not ones_rows)
+        assert bool(_PairRows.of(matrix).gather(outcome.negatives_mask)) == (not ones_rows)
         fam = build_family(matrix, outcome, 3, 1)
         assert fam.edges == ((5, 6, 7),)
         assert fam == _build_family_reference(matrix, outcome, 3, 1)
@@ -256,7 +259,7 @@ class TestBuildFamily:
             rng.getrandbits(n) | rng.getrandbits(n) for _ in range(2 * _PAIR_ROWS)
         ]
         matrix = BinaryMatrix(len(rows), n, rows)
-        store = matrix._pair_rows()
+        store = _PairRows.of(matrix)
         assert store.count == _PAIR_ROWS and min(store.rows) >= light
         keys = [(-rows[i].bit_count(), i) for i in store.rows]
         assert keys == sorted(keys)
@@ -270,11 +273,11 @@ class TestBuildFamily:
     def test_matches_reference_at_any_pair_store_bound(self, monkeypatch, bound):
         # a pair screen of no row (a design too wide for the bits), of one
         # row and of a few rows: the stream stays exact
-        monkeypatch.setattr("tgtkit.matrix._PAIR_STORE_BOUND", bound)
+        monkeypatch.setattr(importlib.import_module("tgtkit.decode"), "_PAIR_STORE_BOUND", bound)
         rng = random.Random(5)
         matrix = BinaryMatrix(300, 9, [rng.getrandbits(9) for _ in range(300)])
         outcome = OutcomeVector(300, rng.getrandbits(300) & rng.getrandbits(300))
-        assert matrix._pair_rows().count == min(bound[0], bound[1] // 100)
+        assert _PairRows.of(matrix).count == min(bound[0], bound[1] // 100)
         for u, e in product((3, 4), (0, 1, 2)):
             assert build_family(matrix, outcome, u, e) == (
                 _build_family_reference(matrix, outcome, u, e)
@@ -1010,6 +1013,12 @@ class TestWBound:
     def test_gap_consistency_enforced(self):
         with pytest.raises(ValidationError):
             w_bound(4, 0, 2, 0)
+
+    @pytest.mark.parametrize("s_size, ell, u, g", [(4, -1, 2, 2), (4, 0, 0, -1), (-1, 0, 2, 1)])
+    def test_domain_enforced(self, s_size, ell, u, g):
+        # each case keeps g = u - ell - 1, so only the domain check can fail
+        with pytest.raises(ValidationError, match="^need ell >= 0, u >= 1, s_size >= 0$"):
+            w_bound(s_size, ell, u, g)
 
 
 class TestCheckEnvelope:

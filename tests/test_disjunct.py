@@ -385,6 +385,11 @@ class TestVerifyDisjunct:
         with pytest.raises(ValidationError, match=rf"^pair_cap must be >= 1, got {cap}$"):
             verify_disjunct(m, 1, 1, 1, pair_cap=cap)
 
+    def test_sets_larger_than_the_items_rejected(self):
+        m = BinaryMatrix(2, 4, (0b11, 0b1100))
+        with pytest.raises(ValidationError, match=r"^need d \+ r <= n, got d=3 r=2 n=4$"):
+            verify_disjunct(m, 3, 2, 1)
+
     def test_matches_naive_oracle_on_random_matrices(self):
         rng = random.Random(99)
         for _ in range(120):

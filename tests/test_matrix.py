@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
 import random
 import re
@@ -30,7 +31,8 @@ from tgtkit import (
     verify_disjunct,
 )
 
-from tgtkit.matrix import _PAIR_STORE_BOUND, _PAIR_STORE_PREFIX
+from tgtkit.decode import _PAIR_STORE_BOUND, _PAIR_STORE_PREFIX, _PairRows
+from tgtkit.matrix import _count_planes
 
 from conftest import GOLDEN_TEXT
 
@@ -47,6 +49,19 @@ def test_matrix_entries_and_supports():
     assert m.row_support(17) == (2, 3, 5, 6)
     # column 3 appears in the 5 pair rows plus all 5 heavy rows
     assert m.column_weight(3) == 10
+
+
+def test_matrix_lookups_out_of_range_rejected():
+    m = BinaryMatrix.parse(GOLDEN_TEXT)
+    for row, col in ((0, 1), (21, 1), (1, 0), (1, 7)):
+        with pytest.raises(ValidationError, match=rf"^entry \({row}, {col}\) out of range$"):
+            m.entry(row, col)
+    for row in (0, 21):
+        with pytest.raises(ValidationError, match=f"^row {row} out of range 1..20$"):
+            m.row_support(row)
+    for col in (0, 7):
+        with pytest.raises(ValidationError, match=f"^column {col} out of range 1..6$"):
+            m.column_weight(col)
 
 
 def test_matrix_rejects_garbage():
@@ -94,6 +109,13 @@ def test_matrix_from_bits_matches_parse():
     m2 = BinaryMatrix.parse("2 3\n101\n011")
     assert m1 == m2
     assert m1.col_masks == (0b01, 0b10, 0b11)
+    with pytest.raises(ValidationError, match="^ragged rows in matrix$"):
+        BinaryMatrix.from_bits([[1, 0, 1], [0, 1]])
+    with pytest.raises(ValidationError, match="^matrix entry 2 is not 0/1$"):
+        BinaryMatrix.from_bits([[1, 0, 1], [0, 2, 1]])
+    for empty in ([], [[]]):
+        with pytest.raises(ValidationError, match="^matrix must have at least one row and column$"):
+            BinaryMatrix.from_bits(empty)
 
 
 def test_matrix_file_io(tmp_path):
@@ -251,6 +273,9 @@ def test_itemset_parse_format_mask():
         ItemSet.of([0, 1])
     with pytest.raises(ValidationError):
         ItemSet.parse("1,two")
+    for members in ((2, 1), (1, 1)):
+        with pytest.raises(ValidationError, match="^item set members must be sorted and distinct$"):
+            ItemSet(members)
 
 
 def _per_bit_columns(row_masks, n):
@@ -380,6 +405,16 @@ def test_threads_reading_unbuilt_row_masks_agree():
         sys.setswitchinterval(old_interval)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**70 - 1), max_size=40))
+def test_count_planes_counts_the_holders_of_each_bit(masks):
+    planes = _count_planes(masks)
+    assert not planes or planes[-1]  # no plane above the largest count
+    for bit in range(70):
+        count = sum(mask >> bit & 1 for mask in masks)
+        assert sum((plane >> bit & 1) << k for k, plane in enumerate(planes)) == count
+
+
 def _pair_rows_built(matrix):
     """How many pair masks the matrix keeps (None: it has no pair store)."""
     store = vars(matrix).get("_pair_store")
@@ -408,17 +443,17 @@ def test_pair_store_changes_nothing_visible():
         # a twin carries no store of its own, and shares none
         assert twin == m and hash(twin) == hash(m) and _pair_rows_built(twin) is None
         assert [decode(outcome, twin, params, algorithm) for algorithm in (1, 2, 3)] == results
-        assert twin._pair_rows() is not m._pair_rows()
+        assert _PairRows.of(twin) is not _PairRows.of(m)
 
 
 def test_pair_store_is_bounded_in_rows_and_bits():
     max_rows, max_bits = _PAIR_STORE_BOUND
     m, outcome, params = _three_item_decode_case(max_rows + 100)
     decode(outcome, m, params, 2)
-    assert m._pair_rows().count == max_rows
+    assert _PairRows.of(m).count == max_rows
     assert _pair_rows_built(m) <= max_rows
     wide = BinaryMatrix(40, 3000, [(1 << 3000) - 1] * 40)
-    count = wide._pair_rows().count
+    count = _PairRows.of(wide).count
     assert count * 3001**2 <= max_bits < (count + 1) * 3001**2
 
 
@@ -442,8 +477,9 @@ def test_pair_store_keeps_the_heaviest_prefix_rows_in_order(t, n, keep, density,
     rng = random.Random(seed)
     rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)]
     m = BinaryMatrix(t, n, rows)
-    with mock.patch("tgtkit.matrix._PAIR_STORE_BOUND", (keep, 1 << 27)):
-        store = m._pair_rows()
+    decode_module = importlib.import_module("tgtkit.decode")
+    with mock.patch.object(decode_module, "_PAIR_STORE_BOUND", (keep, 1 << 27)):
+        store = _PairRows.of(m)
     count = min(t, keep)
     prefix = min(t, _PAIR_STORE_PREFIX * count)
     weights = [mask.bit_count() for mask in rows]

@@ -127,6 +127,10 @@ class TestSimulateBounds:
         with pytest.raises(ValidationError, match="^sweep schemes must be non-empty$"):
             SweepSpec(schemes=())
 
+    def test_duplicate_schemes_rejected(self):
+        with pytest.raises(ValidationError, match="^duplicate schemes in sweep$"):
+            SweepSpec(schemes=("thm4", "thm1", "thm4"))
+
     def test_wide_grid_digest(self):
         # every scheme over 630 points, 120 of them NA rows; the digest pins
         # each row count and each precondition message to the last bit
@@ -230,6 +234,44 @@ class TestExperimentSpec:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown spec key"):
             ExperimentSpec.parse("n=6\nbogus=1\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(("seed=0\n", "seed=0\nno value here\n"),
+                         r"^spec line 10 is not key=value: 'no value here'$", id="no-equals"),
+            pytest.param(("seed=0\n", "seed=0\nn=7\n"),
+                         r"^duplicate spec key 'n' on line 10$", id="duplicate"),
+            pytest.param(("seed=0\n", ""), r"^missing required spec key 'seed'$", id="missing"),
+        ],
+    )
+    def test_malformed_spec_lines_rejected(self, golden_file, edit, message):
+        text = GOLDEN_SPEC.format(matrix=golden_file).replace(*edit)
+        with pytest.raises(ValidationError, match=message):
+            ExperimentSpec.parse(text)
+
+    def test_unknown_generate_kind_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown generate kind 'thm1'$"):
+            ExperimentSpec.parse(
+                "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=1\nseed=0\n"
+                "generate=thm1\ns_size=2\n"
+            )
+
+    @pytest.mark.parametrize("s_size", [0, 5])
+    def test_s_size_outside_one_to_d_rejected(self, s_size):
+        with pytest.raises(ValidationError, match=f"^s_size must be in 1..d=4, got {s_size}$"):
+            ExperimentSpec.parse(
+                "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=1\nseed=0\n"
+                f"generate=thm4\ns_size={s_size}\n"
+            )
+
+    def test_matrix_file_with_other_n_rejected_at_run(self, golden_file):
+        # the file is read by run_experiment, not at parse time
+        spec = ExperimentSpec.parse(
+            GOLDEN_SPEC.format(matrix=golden_file).replace("n=6\n", "n=7\n")
+        )
+        with pytest.raises(ValidationError, match="^matrix has 6 columns but spec says n=7$"):
+            run_experiment(spec)
 
     def test_must_choose_matrix_source(self):
         base = "n=6\nd=4\nell=0\nu=2\nz=1\nalgorithm=1\ntrials=1\nseed=0\ndefectives=1\n"
