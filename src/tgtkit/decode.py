@@ -27,11 +27,13 @@ read only as far as the decoder reads (algorithm 1 reads the first edge),
 and answers the extension's questions from the column masks.  Each answer
 is one screened column scan: the ``x`` that complete a sorted
 ``(u - 1)``-tuple to an edge.  The enumeration, which :func:`build_family`
-shares, is that scan once per item for ``u = 2``; for ``u >= 3`` it counts
-the hits of every pair completing a ``(u - 2)``-tuple at once, over the
-pair masks of the matrix's heaviest rows, heaviest first (a store made
-once per matrix and kept with it, see :class:`_PairRows`), and
-scans only the pairs that the count leaves (see :meth:`_EdgeTest.edges`).
+shares, is that scan once per item for ``u = 2``.  For ``u >= 3`` it
+counts hits over the masks of the matrix's heaviest rows, heaviest first
+(a store made once per matrix and kept with it, see :class:`_RowStore`),
+and scans only what the count leaves (see :meth:`_EdgeTest.edges`): for
+``u = 3`` on a small design (``n <= 65``) one pass counts every triple at
+once over triple masks, and otherwise the hits of every pair completing a
+``(u - 2)``-tuple are counted at once over pair masks.
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
 subset the extension asks about lies inside it.
@@ -65,6 +67,7 @@ tuples, so decoding is deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, compress, count
 from operator import add, itemgetter
@@ -179,8 +182,18 @@ _SCREEN_ROWS = 512
 #: all; 16 MB at most)
 _PAIR_STORE_BOUND = (2048, 1 << 27)
 
-#: the kept pair rows are the heaviest of the first ``_PAIR_STORE_PREFIX``
-#: times as many rows (8,192 rows at n=60): only that prefix is weighed
+#: bound on the triple store of a matrix, as (rows, bits): each of
+#: ``C(cols, 3)`` bits (490 rows of 34,220 bits at n=60, 2 MB at most)
+_TRIPLE_STORE_BOUND = (2048, 1 << 24)
+
+#: the ``u = 3`` stream reads the triple store only when the bound lets it
+#: keep at least this many rows (n <= 65 on a tall design), and else reads
+#: the pair store head by head
+_TRIPLE_STORE_MIN_ROWS = 384
+
+#: each store keeps the heaviest rows of the first ``_PAIR_STORE_PREFIX``
+#: times as many rows as the pair store keeps (8,192 rows at n=60): only
+#: that prefix is weighed
 _PAIR_STORE_PREFIX = 4
 
 
@@ -206,28 +219,43 @@ def _heaviest_rows(col_masks: Iterable[int], prefix: int, keep: int) -> list[int
     return rows[:keep]
 
 
-class _PairRows:
-    """Pair masks of a matrix's heaviest rows: the ``count`` rows of the
-    first ``_PAIR_STORE_PREFIX * count`` that hold the most items, kept in
-    that order, ties in row order.  A row holding ``k`` items rejects up to
-    ``C(k, 2)`` pairs, so the edge stream reads these first.
+def _bits_of(mask: int, first: int) -> list[int]:
+    """``first + i`` for each set bit ``i`` of ``mask``, in increasing order:
+    bit by bit when few are set, else from its digits."""
+    if mask.bit_count() > 8:
+        digits = _mask_to_digits(mask, mask.bit_length()).encode().translate(_DIGIT_VALUES)
+        return list(compress(count(first), digits))
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(first + low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+class _RowStore:
+    """Masks of a matrix's heaviest rows, in a subclass's layout: the
+    ``count`` rows that hold the most items among the first
+    ``_PAIR_STORE_PREFIX`` times as many rows as the pair store keeps, kept
+    in that order, ties in row order.  A row holding ``k`` items rejects up
+    to ``C(k, 2)`` pairs and ``C(k, 3)`` triples, so the edge stream reads
+    these first.
 
     ``rows[s]`` is the 0-based index of the ``s``-th kept row, bit ``s`` of
     ``cols[j]`` is set when that row holds item ``j + 1``, and
     :meth:`gather` maps a mask over all rows to one over the kept rows.
-    Bit ``b * (cols + 1) + x`` of ``masks[s]``, built on first read, is set
-    when kept row ``s`` holds items ``b`` and ``x``.  The row's items ``b``
-    are spread to bits ``b * (cols + 1)``, and the spread is multiplied by
-    the row: each item's product lies in a block of its own, so nothing
-    carries.
+    ``masks[s]``, kept row ``s``'s mask, is built on first read
+    (:meth:`build`).  ``every`` has one bit per place of the layout, and
+    :meth:`start_planes` gives the edge stream's hit counts at their start.
     """
 
-    def __init__(self, matrix: BinaryMatrix) -> None:
+    #: the name the matrix keeps the store under
+    _name = ""
+
+    def __init__(self, matrix: BinaryMatrix, count: int, every: int) -> None:
         n = matrix.cols
-        width = n + 1
-        max_rows, max_bits = _PAIR_STORE_BOUND
-        self.count = count = min(matrix.rows, max_rows, max_bits // width**2)
-        prefix = min(matrix.rows, _PAIR_STORE_PREFIX * count)
+        self.count, self.every = count, every
+        prefix = min(matrix.rows, _PAIR_STORE_PREFIX * _PairRows.size(matrix))
         self.rows = rows = tuple(_heaviest_rows(matrix.col_masks, prefix, count))
         # the kept rows' digits, last item first, laid end to end from the
         # last kept row: the prefix's columns as digits, last column and
@@ -237,19 +265,14 @@ class _PairRows:
         self._digits = "".join([columns[prefix - 1 - i :: prefix] for i in reversed(rows)])
         self.cols = tuple(int(self._digits[n - 1 - j :: n] or "0", 2) for j in range(n))
         self._pick = itemgetter(*[prefix - 1 - i for i in reversed(rows)]) if rows else None
-        self._n, self._bytes = n, (width + 7) // 8  # of a row shifted to bits 1..cols
-        # each byte value with bit k moved to bit k * width: ``width`` bytes,
-        # so a row's bytes spread to their spreads laid end to end
-        spread = [0]
-        for value in range(1, 256):
-            spread.append(spread[value >> 1] << width | value & 1)
-        self._spread = [value.to_bytes(width, "little") for value in spread]
+        self._n = n
         self.masks: list[Optional[int]] = [None] * count
+        self._start: dict[int, tuple[int, ...]] = {}
 
     @classmethod
-    def of(cls, matrix: BinaryMatrix) -> "_PairRows":
+    def of(cls, matrix: BinaryMatrix) -> "_RowStore":
         """The matrix's store, made on first call and kept with it."""
-        return matrix._derived("_pair_store", cls)
+        return matrix._derived(cls._name, cls)
 
     def gather(self, mask: int) -> int:
         """The mask over the kept rows whose bit ``s`` is bit ``rows[s]`` of
@@ -259,13 +282,164 @@ class _PairRows:
         return int("".join(self._pick(format(mask & self._low, self._spec))), 2)
 
     def build(self, s: int) -> int:
-        """Kept row ``s``'s pair mask, built and kept (threads that race
-        here store equal masks)."""
+        """Kept row ``s``'s mask, built and kept (threads that race here
+        store equal masks)."""
         at = (self.count - 1 - s) * self._n
-        row = int(self._digits[at : at + self._n], 2) << 1
-        spread = b"".join(map(self._spread.__getitem__, row.to_bytes(self._bytes, "little")))
-        mask = self.masks[s] = int.from_bytes(spread, "little") * row
+        mask = self.masks[s] = self._layout(self._digits[at : at + self._n])
         return mask
+
+    def _layout(self, digits: str) -> int:
+        """The mask of a row given as its digits, last item first."""
+        raise NotImplementedError
+
+    def start_planes(self, e: int) -> tuple[int, ...]:
+        """Bit planes that count ``2**len(planes) - (e + 1)`` at every bit of
+        ``every``, so that a bit's ``(e + 1)``-th hit carries out of the top
+        plane; kept per ``e``."""
+        planes = self._start.get(e)
+        if planes is None:
+            start = 2 ** e.bit_length() - (e + 1)
+            planes = tuple(self.every if start >> k & 1 else 0 for k in range(e.bit_length()))
+            planes = self._start.setdefault(e, planes)
+        return planes
+
+
+class _PairRows(_RowStore):
+    """Pair masks of a matrix's heaviest rows (see :class:`_RowStore`), for
+    the edge stream's heads.
+
+    Bit ``b * (cols + 1) + x`` of ``masks[s]`` is set when kept row ``s``
+    holds items ``b`` and ``x``.  The row's items ``b`` are spread to bits
+    ``b * (cols + 1)``, and the spread is multiplied by the row: each item's
+    product lies in a block of its own, so nothing carries.
+    """
+
+    _name = "_pair_store"
+
+    @staticmethod
+    def size(matrix: BinaryMatrix) -> int:
+        """The rows the matrix's pair store keeps."""
+        max_rows, max_bits = _PAIR_STORE_BOUND
+        return min(matrix.rows, max_rows, max_bits // (matrix.cols + 1) ** 2)
+
+    def __init__(self, matrix: BinaryMatrix) -> None:
+        n = matrix.cols
+        self._width = width = n + 1
+        super().__init__(matrix, self.size(matrix), (1 << width * width) - 1)
+        self._block = (1 << width) - 1  # one b's x
+        self._upper = sum(((1 << width) - (2 << b)) << b * width for b in range(1, n))  # b < x
+        self._bytes = (width + 7) // 8  # of a row shifted to bits 1..cols
+        # each byte value with bit k moved to bit k * width: ``width`` bytes,
+        # so a row's bytes spread to their spreads laid end to end
+        spread = [0]
+        for value in range(1, 256):
+            spread.append(spread[value >> 1] << width | value & 1)
+        self._spread = [value.to_bytes(width, "little") for value in spread]
+
+    def _layout(self, digits: str) -> int:
+        row = int(digits, 2) << 1
+        spread = b"".join(map(self._spread.__getitem__, row.to_bytes(self._bytes, "little")))
+        return int.from_bytes(spread, "little") * row
+
+    def after(self, item: int) -> int:
+        """The pairs ``(b, x)`` with ``item < b < x``."""
+        cut = (item + 1) * self._width
+        return self._upper >> cut << cut
+
+    def split(self, pairs: int, head: tuple[int, ...]) -> Iterator[tuple[tuple, list[int]]]:
+        """``head + (b,)`` for each ``b`` with a pair in ``pairs``, in
+        order, each with the ``x`` of its pairs there, in order."""
+        width, block = self._width, self._block
+        while pairs:
+            b = ((pairs & -pairs).bit_length() - 1) // width
+            xs = pairs >> b * width & block
+            pairs ^= xs << b * width
+            yield head + (b,), _bits_of(xs, 0)
+
+
+class _TripleRows(_RowStore):
+    """Triple masks of a matrix's heaviest rows (see :class:`_RowStore`),
+    for the ``u = 3`` stream's one pass.
+
+    Bit ``C(n - a, 3) + C(n - b, 2) + (c - b - 1)`` of ``masks[s]`` is set
+    when kept row ``s`` holds items ``a < b < c``: the triples lie in
+    lexicographic order from the top bit down, in one block per ``a`` and
+    in it one per ``b``.  The row's pair mask in the same layout (bit
+    ``C(n - b, 2) + (c - b - 1)``) holds its pairs after ``a`` in its low
+    ``C(n - a, 2)`` bits, so the triple mask lays those blocks end to end.
+    """
+
+    _name = "_triple_store"
+
+    @staticmethod
+    def size(matrix: BinaryMatrix) -> int:
+        """The rows the matrix's triple store keeps."""
+        max_rows, max_bits = _TRIPLE_STORE_BOUND
+        return min(matrix.rows, max_rows, max_bits // max(1, math.comb(matrix.cols, 3)))
+
+    def __init__(self, matrix: BinaryMatrix) -> None:
+        n = matrix.cols
+        super().__init__(matrix, self.size(matrix), (1 << math.comb(n, 3)) - 1)
+        # by m = n - item, the digit index of the item: its block's start
+        # among the triples and among the pairs, and its pairs after it
+        self._triple_at = [math.comb(m, 3) for m in range(n + 1)]
+        self._pair_at = [math.comb(m, 2) for m in range(n + 1)]
+        self._pairs_after = [(1 << math.comb(m, 2)) - 1 for m in range(n + 1)]
+
+    def _layout(self, digits: str) -> int:
+        row, n = int(digits, 2), self._n
+        ms = list(compress(count(), digits.encode().translate(_DIGIT_VALUES)))
+        pairs = sum([(row >> n - m) << self._pair_at[m] for m in ms])
+        return sum([(pairs & self._pairs_after[m]) << self._triple_at[m] for m in ms])
+
+    def split(self, triples: int) -> Iterator[tuple[tuple, list[int]]]:
+        """Each sorted ``(a, b)`` with a triple in ``triples``, in order,
+        with the ``c`` of its triples there, in order: the top set bit of
+        what is left gives the next ``a``, then that of its block the next
+        ``b``."""
+        n, triple_at, pair_at = self._n, self._triple_at, self._pair_at
+        while triples:
+            m = bisect_right(triple_at, triples.bit_length() - 1) - 1
+            block = triples >> triple_at[m]
+            triples ^= block << triple_at[m]
+            while block:
+                k = bisect_right(pair_at, block.bit_length() - 1) - 1
+                cs = block >> pair_at[k]
+                block ^= cs << pair_at[k]
+                b = n - k
+                yield (n - m, b), _bits_of(cs, b + 1)
+
+
+def _hits_left(store: _RowStore, rows: int, e: int, alive: int) -> int:
+    """The bits of ``alive`` that this count does not reject: each of the
+    store's rows in ``rows`` (a mask over the kept rows), heaviest first,
+    adds its mask to a hit count per bit, kept in bit planes (see
+    :meth:`_RowStore.start_planes`), and a bit's ``(e + 1)``-th hit rejects
+    it.  Reading stops when no bit is left, or when a checkpoint of 8 rows
+    rejects none.  The edge stream counts here both a head's pairs and, in
+    one pass, every triple.
+    """
+    masks, build = store.masks, store.build
+    planes = list(store.start_planes(e))
+    plane_ks = range(len(planes))
+    dead = read = 0
+    in_rows = _mask_to_digits(rows, store.count).encode().translate(_DIGIT_VALUES)
+    for i in compress(range(store.count), in_rows):
+        carry = masks[i]
+        if carry is None:
+            carry = build(i)
+        for k in plane_ks:
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
+        dead |= carry
+        read += 1
+        if not read % 8:
+            left = alive & ~dead
+            if not left or left == alive:
+                break
+            alive = left
+    return alive & ~dead
 
 
 def build_family(
@@ -291,9 +465,10 @@ class _EdgeTest:
     rows.  A count over some of the rows is a lower bound on ``t0``, so the
     screen rejects exactly.  ``T in tester`` scans ``T``'s last item alone.
     :meth:`edges` is the lexicographic edge stream: for ``u <= 2`` one scan
-    per ``(u - 1)``-subset, and for ``u >= 3`` one pass over the rows per
-    head (see there).  Nothing is kept between questions but the pair
-    store's masks (see :class:`_PairRows`).
+    per ``(u - 1)``-subset, for ``u = 3`` on a small design one pass over
+    the rows for all triples, and otherwise one pass per head (see there).
+    Nothing is kept between questions but the stores' masks (see
+    :class:`_RowStore`).
     """
 
     def __init__(
@@ -345,21 +520,26 @@ class _EdgeTest:
         """Every edge, in lexicographic order.
 
         For ``u <= 2`` that is one :meth:`completions` scan per
-        ``(u - 1)``-subset.  For ``u >= 3`` the edges come one *head* at a
-        time: a sorted ``(u - 2)``-tuple, whose edges are its pairs
-        ``(b, x)`` with ``head[-1] < b < x``.  The head's negative rows
-        among those the pair store keeps (its heaviest rows of a prefix,
-        see :class:`_PairRows`; the outcome's negatives are gathered onto
-        them once) are read heaviest first, and
-        each adds its pair mask (bit ``b * (n + 1) + x`` for each of the
-        row's pairs) to a hit count per pair, kept in bit planes.  Reading
-        stops when no pair is left below ``e + 1`` hits, or when a
-        checkpoint of 8 rows rejects no pair.  A count over any rows is a
-        lower bound on ``t0``, so that rejects exactly whichever rows are
-        read, in whatever order: heavy rows first only reject sooner.  The
-        pairs left are checked by one :meth:`completions` scan per ``b``.
-        Nothing is computed past the head of the last edge drawn, so
-        ``next`` on it is a search for the first edge.
+        ``(u - 1)``-subset.  For ``u >= 3`` the rows the edge stream reads
+        first are a store's (see :class:`_RowStore`: the heaviest rows of a
+        prefix, read heaviest first; the outcome's negatives are gathered
+        onto them once), and each negative row read adds its mask to a hit
+        count per candidate (:func:`_hits_left`).  A count over any rows is
+        a lower bound on ``t0``, so that rejects exactly whichever rows are
+        read, in whatever order: heavy rows first only reject sooner.
+
+        For ``u = 3``, when the triple store keeps at least
+        ``_TRIPLE_STORE_MIN_ROWS`` rows (``n <= 65`` on a tall design), one
+        pass over its negative rows counts every triple at once (the masks
+        of :class:`_TripleRows`), and the triples left are checked by one
+        :meth:`completions` scan per ``(a, b)``.  Otherwise the edges come
+        one *head* at a time: a sorted ``(u - 2)``-tuple, whose edges are
+        its pairs ``(b, x)`` with ``head[-1] < b < x``.  The head's negative
+        rows among the pair store's (:class:`_PairRows`) count its pairs,
+        and the pairs left are checked by one scan per ``b``.  The head
+        stream computes nothing past the head of the last edge drawn, so
+        ``next`` on it is a search for the first edge; the triple pass
+        counts every triple before its first edge.
         """
         n, u, e = self._n, self._u, self._e
         if u < 3:
@@ -367,49 +547,23 @@ class _EdgeTest:
                 for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
                     yield rest + (x,)
             return
+        if u == 3 and _TripleRows.size(self._matrix) >= _TRIPLE_STORE_MIN_ROWS:
+            triples = _TripleRows.of(self._matrix)
+            left = _hits_left(triples, triples.gather(self._negatives), e, triples.every)
+            for rest, xs in triples.split(left):
+                for x in self.completions(rest, xs):
+                    yield rest + (x,)
+            return
         store = _PairRows.of(self._matrix)
-        masks, build, count = store.masks, store.build, store.count
-        kept = range(count)
-        width, negatives = n + 1, store.gather(self._negatives)
+        negatives = store.gather(self._negatives)
         screen = [0] + [col & negatives for col in store.cols]  # over the kept rows
-        block, every = (1 << width) - 1, (1 << width * width) - 1  # one b's x; all pairs
-        upper = sum(((1 << width) - (2 << b)) << b * width for b in range(1, n))  # b < x
-        # a pair's count starts at 2**len(plane_ks) - (e + 1), so that its
-        # (e + 1)-th hit carries out of the top plane into ``dead``
-        plane_ks = range(e.bit_length())
-        start = 2 ** len(plane_ks) - (e + 1)
-        start_planes = [every if start >> k & 1 else 0 for k in plane_ks]
         for head in combinations(range(1, n - 1), u - 2):
             rows = negatives
             for j in head:
                 rows &= screen[j]
-            cut = (head[-1] + 1) * width
-            alive = upper >> cut << cut  # the pairs after the head
-            planes, dead, read = start_planes[:], 0, 0
-            # the head's kept rows, heaviest first, as far as they are read
-            in_rows = _mask_to_digits(rows, count).encode().translate(_DIGIT_VALUES)
-            for i in compress(kept, in_rows):
-                carry = masks[i]
-                if carry is None:
-                    carry = build(i)
-                for k in plane_ks:
-                    plane = planes[k]
-                    planes[k] = plane ^ carry
-                    carry &= plane
-                dead |= carry
-                read += 1
-                if not read % 8:
-                    left = alive & ~dead
-                    if not left or left == alive:
-                        break
-                    alive = left
-            alive &= ~dead
-            while alive:
-                b = ((alive & -alive).bit_length() - 1) // width
-                xs = alive >> b * width & block
-                alive ^= xs << b * width
-                rest = head + (b,)
-                for x in self.completions(rest, [x for x in range(b + 1, width) if xs >> x & 1]):
+            left = _hits_left(store, rows, e, store.after(head[-1]))
+            for rest, xs in store.split(left, head):
+                for x in self.completions(rest, xs):
                     yield rest + (x,)
 
     def __contains__(self, items: tuple[int, ...]) -> bool:

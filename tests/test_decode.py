@@ -38,6 +38,7 @@ from tgtkit import (
 from tgtkit.decode import (
     _PAIR_STORE_BOUND,
     _SCREEN_ROWS,
+    _TRIPLE_STORE_MIN_ROWS,
     ALGORITHMS,
     EXTENSION_STEP_CAP,
     FAMILY_SUBSET_CAP,
@@ -55,6 +56,17 @@ from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, ga
 
 #: rows the pair store of the u >= 3 edge stream keeps, on a narrow matrix
 _PAIR_ROWS = _PAIR_STORE_BOUND[0]
+
+#: the fewest rows on which the u = 3 stream reads the triple store
+_PASS_ROWS = _TRIPLE_STORE_MIN_ROWS
+
+
+def _triple_pass(on):
+    """A context in which the u = 3 stream reads the triple store where it
+    would (``on``), or never: the triple store's bound then leaves it no row."""
+    decode_module = importlib.import_module("tgtkit.decode")
+    bound = decode_module._TRIPLE_STORE_BOUND if on else (0, 0)
+    return mock.patch.object(decode_module, "_TRIPLE_STORE_BOUND", bound)
 
 
 def _build_family_reference(matrix, outcome, u, e):
@@ -176,9 +188,9 @@ class TestBuildFamily:
              positive_head=_SCREEN_ROWS, seed=7)
     @example(t=3000, n=8, u=2, e=2, density=0.6, negative_rate=0.0,
              positive_head=0, seed=4)
-    # the pair store's size, one row below it and one above it; then every
-    # negative row past the store's first rows, so that it keeps them only
-    # by weight
+    # the pair store's size (and the triple store's, at n = 9), one row
+    # below it and one above it; then every negative row past the store's
+    # first rows, so that it keeps them only by weight
     @example(t=_PAIR_ROWS - 1, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
              positive_head=0, seed=8)
     @example(t=_PAIR_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
@@ -205,12 +217,33 @@ class TestBuildFamily:
              positive_head=0, seed=17)
     @example(t=600, n=9, u=4, e=5, density=1.0, negative_rate=0.02,
              positive_head=0, seed=18)
+    # the triple pass's row threshold, one row below it and at it; then
+    # every plane depth at it (e = 1 is the threshold's own)
+    @example(t=_PASS_ROWS - 1, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=19)
+    @example(t=_PASS_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=20)
+    @example(t=_PASS_ROWS, n=9, u=3, e=0, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=21)
+    @example(t=_PASS_ROWS, n=9, u=3, e=2, density=0.6, negative_rate=0.3,
+             positive_head=0, seed=22)
+    @example(t=_PASS_ROWS, n=9, u=3, e=5, density=0.6, negative_rate=0.3,
+             positive_head=0, seed=23)
+    # a pass that a checkpoint stops after 40 of its 121 negative rows, with
+    # one non-edge left to the scans
+    @example(t=_PASS_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=1)
+    # the only edge is (3, 4, 5), the last head's, at bit 0 of the triples
+    @example(t=_PASS_ROWS, n=5, u=3, e=0, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=5)
+    @pytest.mark.parametrize("triple_pass", [True, False], ids=["triple-pass", "head-stream"])
     def test_matches_reference(
-        self, t, n, u, e, density, negative_rate, positive_head, seed
+        self, triple_pass, t, n, u, e, density, negative_rate, positive_head, seed
     ):
         # rows before positive_head are positive, so negatives can sit
         # entirely past the screen; rate 0 and 1 give all-positive and
-        # all-negative outcomes
+        # all-negative outcomes.  Every u = 3 case runs with the triple pass
+        # where the stream picks it, and with the head stream alone
         if u > n:
             u = n
         rng = random.Random(seed)
@@ -223,7 +256,8 @@ class TestBuildFamily:
                 for i in range(t)
             )
         )
-        fam = build_family(matrix, outcome, u, e)
+        with _triple_pass(triple_pass):
+            fam = build_family(matrix, outcome, u, e)
         assert fam == _build_family_reference(matrix, outcome, u, e)
         assert fam.edges == tuple(sorted(fam.edges))
 
@@ -758,7 +792,7 @@ _POLICIES = {
 
 @settings(max_examples=200, deadline=None)
 @given(
-    t=st.sampled_from((1, _SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1, 1100)),
+    t=st.sampled_from((1, _PASS_ROWS, _SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1, 1100)),
     n=st.integers(4, 9),
     u=st.integers(1, 3),
     d_offset=st.integers(0, 8),
@@ -779,6 +813,10 @@ _POLICIES = {
 @example(t=1, n=5, u=2, d_offset=0, z=1, density=1.0, empty_head=0,
          policy="negative", flips=0, subset_cap=FAMILY_SUBSET_CAP,
          step_cap=EXTENSION_STEP_CAP, seed=0)
+# a design of the fewest rows that the u = 3 stream reads in one triple pass
+@example(t=_PASS_ROWS, n=9, u=3, d_offset=2, z=3, density=0.4, empty_head=0,
+         policy="bernoulli", flips=1, subset_cap=FAMILY_SUBSET_CAP,
+         step_cap=EXTENSION_STEP_CAP, seed=1)
 def test_decode_without_the_family_matches_the_family(
     t, n, u, d_offset, z, density, empty_head, policy, flips, subset_cap, step_cap, seed
 ):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import importlib
+import math
 import pickle
 import random
 import re
 import sys
 import threading
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -31,7 +33,14 @@ from tgtkit import (
     verify_disjunct,
 )
 
-from tgtkit.decode import _PAIR_STORE_BOUND, _PAIR_STORE_PREFIX, _PairRows
+from tgtkit.decode import (
+    _PAIR_STORE_BOUND,
+    _PAIR_STORE_PREFIX,
+    _TRIPLE_STORE_BOUND,
+    _TRIPLE_STORE_MIN_ROWS,
+    _PairRows,
+    _TripleRows,
+)
 from tgtkit.matrix import _count_planes
 
 from conftest import GOLDEN_TEXT
@@ -415,10 +424,18 @@ def test_count_planes_counts_the_holders_of_each_bit(masks):
         assert sum((plane >> bit & 1) << k for k, plane in enumerate(planes)) == count
 
 
-def _pair_rows_built(matrix):
-    """How many pair masks the matrix keeps (None: it has no pair store)."""
-    store = vars(matrix).get("_pair_store")
-    return None if store is None else sum(mask is not None for mask in store.masks)
+def _masks_built(matrix, store):
+    """How many row masks the matrix's ``store`` (``_PairRows`` or
+    ``_TripleRows``) keeps (None: the matrix has no such store)."""
+    kept = vars(matrix).get(store._name)
+    return None if kept is None else sum(mask is not None for mask in kept.masks)
+
+
+def _head_stream():
+    """A context in which the u = 3 stream reads the pair store head by
+    head: the triple store's bound leaves it no row."""
+    decode_module = importlib.import_module("tgtkit.decode")
+    return mock.patch.object(decode_module, "_TRIPLE_STORE_BOUND", (0, 0))
 
 
 def _three_item_decode_case(rows=3000):
@@ -433,28 +450,67 @@ def _three_item_decode_case(rows=3000):
     return m, outcome, params
 
 
-def test_pair_store_changes_nothing_visible():
+def _check_store_invisible(store, other):
+    """A u = 3 decode that builds ``store`` and not ``other`` changes
+    nothing visible of the matrix, and a copy or pickle of it carries none."""
     m, outcome, params = _three_item_decode_case()
     fresh = BinaryMatrix.parse(m.to_text())
     results = [decode(outcome, m, params, algorithm) for algorithm in (1, 2, 3)]
-    assert 0 < _pair_rows_built(m) <= _PAIR_STORE_BOUND[0]
+    assert 0 < _masks_built(m, store) <= store.size(m)
+    assert _masks_built(m, other) is None
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     for twin in (copy.copy(m), pickle.loads(pickle.dumps(m))):
         # a twin carries no store of its own, and shares none
-        assert twin == m and hash(twin) == hash(m) and _pair_rows_built(twin) is None
+        assert twin == m and hash(twin) == hash(m) and _masks_built(twin, store) is None
         assert [decode(outcome, twin, params, algorithm) for algorithm in (1, 2, 3)] == results
-        assert _PairRows.of(twin) is not _PairRows.of(m)
+        assert store.of(twin) is not store.of(m)
+
+
+def test_pair_store_changes_nothing_visible():
+    with _head_stream():
+        _check_store_invisible(_PairRows, _TripleRows)
+
+
+def test_triple_store_changes_nothing_visible():
+    _check_store_invisible(_TripleRows, _PairRows)
 
 
 def test_pair_store_is_bounded_in_rows_and_bits():
     max_rows, max_bits = _PAIR_STORE_BOUND
     m, outcome, params = _three_item_decode_case(max_rows + 100)
-    decode(outcome, m, params, 2)
+    with _head_stream():
+        decode(outcome, m, params, 2)
     assert _PairRows.of(m).count == max_rows
-    assert _pair_rows_built(m) <= max_rows
+    assert _masks_built(m, _PairRows) <= max_rows
     wide = BinaryMatrix(40, 3000, [(1 << 3000) - 1] * 40)
     count = _PairRows.of(wide).count
     assert count * 3001**2 <= max_bits < (count + 1) * 3001**2
+
+
+def test_triple_store_is_bounded_in_rows_and_bits():
+    max_rows, max_bits = _TRIPLE_STORE_BOUND
+    m, outcome, params = _three_item_decode_case(max_rows + 100)
+    decode(outcome, m, params, 2)
+    assert _TripleRows.of(m).count == max_rows
+    assert _masks_built(m, _TripleRows) <= max_rows
+    # on a tall design the bits decide: n = 65 keeps just enough rows for
+    # the u = 3 stream to read the store, and n = 66 too few
+    for n in (60, 65, 66):
+        tall = BinaryMatrix(3000, n, [(1 << n) - 1] * 3000)
+        count, bits = _TripleRows.of(tall).count, math.comb(n, 3)
+        assert count * bits <= max_bits < (count + 1) * bits
+        assert (count >= _TRIPLE_STORE_MIN_ROWS) == (n <= 65)
+
+
+def test_wide_three_item_decode_keeps_no_triple_rows():
+    # at n = 66 the triple store would keep too few rows: the stream reads
+    # the pair store head by head
+    params = TGTParams(n=66, d=3, ell=0, u=3, z=3)
+    rng = random.Random(66)
+    m = BinaryMatrix(600, params.n, [rng.getrandbits(params.n) for _ in range(600)])
+    outcome = encode(m, ItemSet.of([5, 40, 61]), params.ell, params.u, GapPolicy.always_negative())
+    decode(outcome, m, params, 2)
+    assert _masks_built(m, _TripleRows) is None and _masks_built(m, _PairRows) > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -500,6 +556,53 @@ def test_pair_store_keeps_the_heaviest_prefix_rows_in_order(t, n, keep, density,
     )
 
 
+def _triple_bit(n, a, b, c):
+    """The bit of the sorted triple ``(a, b, c)`` in the triple store's layout."""
+    return math.comb(n - a, 3) + math.comb(n - b, 2) + (c - b - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.integers(1, 120),
+    n=st.integers(3, 8),
+    keep=st.integers(0, 40),
+    density=st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a store of no row and of one row; n = 3, whose one triple is bit 0
+@example(t=50, n=5, keep=0, density=0.5, seed=0)
+@example(t=50, n=5, keep=1, density=0.5, seed=1)
+@example(t=120, n=3, keep=40, density=0.5, seed=2)
+@example(t=120, n=8, keep=40, density=1.0, seed=3)
+def test_triple_store_keeps_the_heaviest_prefix_rows_and_their_triples(t, n, keep, density, seed):
+    # the triple store weighs the pair store's prefix and keeps its rows as
+    # the pair store does; each kept row's mask holds its triples, and
+    # split reads any set of triples back in lexicographic order
+    rng = random.Random(seed)
+    rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)]
+    m = BinaryMatrix(t, n, rows)
+    decode_module = importlib.import_module("tgtkit.decode")
+    with mock.patch.object(decode_module, "_TRIPLE_STORE_BOUND", (keep, 1 << 24)), \
+            mock.patch.object(decode_module, "_PAIR_STORE_BOUND", (keep, 1 << 27)):
+        store = _TripleRows.of(m)
+    count = min(t, keep)
+    prefix = min(t, _PAIR_STORE_PREFIX * count)
+    weights = [mask.bit_count() for mask in rows]
+    assert store.count == count
+    assert store.rows == tuple(sorted(range(prefix), key=lambda i: (-weights[i], i))[:count])
+    triples = list(combinations(range(1, n + 1), 3))
+    for s, i in enumerate(store.rows):
+        assert store.build(s) == sum(
+            1 << _triple_bit(n, *triple)
+            for triple in triples
+            if all(rows[i] >> (j - 1) & 1 for j in triple)
+        )
+    chosen = [triple for triple in triples if rng.random() < 0.3]
+    groups = list(store.split(sum(1 << _triple_bit(n, *triple) for triple in chosen)))
+    assert [rest + (c,) for rest, cs in groups for c in cs] == chosen
+    assert all(cs for _, cs in groups) and len({rest for rest, _ in groups}) == len(groups)
+
+
 def test_two_item_decode_keeps_no_pair_rows():
     params = TGTParams(n=12, d=3, ell=0, u=2, z=3)
     m = generate(params.n, params.d, params.u, params.z, seed=4)
@@ -507,11 +610,11 @@ def test_two_item_decode_keeps_no_pair_rows():
     for algorithm in (1, 2, 3):
         decode(outcome, m, params, algorithm)
     build_family(m, outcome, params.u, params.e)
-    assert _pair_rows_built(m) is None
+    assert _masks_built(m, _PairRows) is None and _masks_built(m, _TripleRows) is None
 
 
 def test_threads_decoding_on_one_matrix_agree():
-    # threads that race to build the same pair masks decode as one thread does
+    # threads that race to build the same triple masks decode as one thread does
     m, outcome, params = _three_item_decode_case()
     expected = [decode(outcome, BinaryMatrix.parse(m.to_text()), params, alg) for alg in (1, 2, 3)]
     old_interval = sys.getswitchinterval()
