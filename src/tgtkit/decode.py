@@ -186,9 +186,9 @@ _PAIR_STORE_BOUND = (2048, 1 << 27)
 #: ``C(cols, 3)`` bits (490 rows of 34,220 bits at n=60, 2 MB at most)
 _TRIPLE_STORE_BOUND = (2048, 1 << 24)
 
-#: the ``u = 3`` stream reads the triple store only when the bound lets it
-#: keep at least this many rows (n <= 65 on a tall design), and else reads
-#: the pair store head by head
+#: the ``u = 3`` stream reads the triple store only when its bound lets it
+#: keep at least this many rows (n <= 65), whatever the matrix's row count,
+#: and else reads the pair store head by head
 _TRIPLE_STORE_MIN_ROWS = 384
 
 #: each store keeps the heaviest rows of the first ``_PAIR_STORE_PREFIX``
@@ -236,8 +236,8 @@ def _bits_of(mask: int, first: int) -> list[int]:
 class _RowStore:
     """Masks of a matrix's heaviest rows, in a subclass's layout: the
     ``count`` rows that hold the most items among the first
-    ``_PAIR_STORE_PREFIX`` times as many rows as the pair store keeps, kept
-    in that order, ties in row order.  A row holding ``k`` items rejects up
+    ``_PAIR_STORE_PREFIX`` times as many rows as the pair store keeps (or
+    all of them, if fewer), kept in that order, ties in row order.  A row holding ``k`` items rejects up
     to ``C(k, 2)`` pairs and ``C(k, 3)`` triples, so the edge stream reads
     these first.
 
@@ -254,9 +254,10 @@ class _RowStore:
 
     def __init__(self, matrix: BinaryMatrix, count: int, every: int) -> None:
         n = matrix.cols
-        self.count, self.every = count, every
+        self.every = every
         prefix = min(matrix.rows, _PAIR_STORE_PREFIX * _PairRows.size(matrix))
         self.rows = rows = tuple(_heaviest_rows(matrix.col_masks, prefix, count))
+        self.count = count = len(rows)
         # the kept rows' digits, last item first, laid end to end from the
         # last kept row: the prefix's columns as digits, last column and
         # last row first, hold row i's digits every prefix-th from prefix - 1 - i
@@ -372,10 +373,15 @@ class _TripleRows(_RowStore):
     _name = "_triple_store"
 
     @staticmethod
+    def bound(cols: int) -> int:
+        """The most rows the triple store of a matrix of ``cols`` columns keeps."""
+        max_rows, max_bits = _TRIPLE_STORE_BOUND
+        return min(max_rows, max_bits // max(1, math.comb(cols, 3)))
+
+    @staticmethod
     def size(matrix: BinaryMatrix) -> int:
         """The rows the matrix's triple store keeps."""
-        max_rows, max_bits = _TRIPLE_STORE_BOUND
-        return min(matrix.rows, max_rows, max_bits // max(1, math.comb(matrix.cols, 3)))
+        return min(matrix.rows, _TripleRows.bound(matrix.cols))
 
     def __init__(self, matrix: BinaryMatrix) -> None:
         n = matrix.cols
@@ -528,9 +534,9 @@ class _EdgeTest:
         a lower bound on ``t0``, so that rejects exactly whichever rows are
         read, in whatever order: heavy rows first only reject sooner.
 
-        For ``u = 3``, when the triple store keeps at least
-        ``_TRIPLE_STORE_MIN_ROWS`` rows (``n <= 65`` on a tall design), one
-        pass over its negative rows counts every triple at once (the masks
+        For ``u = 3``, when the triple store's bound lets it keep at least
+        ``_TRIPLE_STORE_MIN_ROWS`` rows (``n <= 65``, on a design of any
+        row count), one pass over its negative rows counts every triple at once (the masks
         of :class:`_TripleRows`), and the triples left are checked by one
         :meth:`completions` scan per ``(a, b)``.  Otherwise the edges come
         one *head* at a time: a sorted ``(u - 2)``-tuple, whose edges are
@@ -547,7 +553,7 @@ class _EdgeTest:
                 for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
                     yield rest + (x,)
             return
-        if u == 3 and _TripleRows.size(self._matrix) >= _TRIPLE_STORE_MIN_ROWS:
+        if u == 3 and _TripleRows.bound(n) >= _TRIPLE_STORE_MIN_ROWS:
             triples = _TripleRows.of(self._matrix)
             left = _hits_left(triples, triples.gather(self._negatives), e, triples.every)
             for rest, xs in triples.split(left):

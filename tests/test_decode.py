@@ -37,6 +37,7 @@ from tgtkit import (
 )
 from tgtkit.decode import (
     _PAIR_STORE_BOUND,
+    _PAIR_STORE_PREFIX,
     _SCREEN_ROWS,
     _TRIPLE_STORE_MIN_ROWS,
     ALGORITHMS,
@@ -46,6 +47,7 @@ from tgtkit.decode import (
     _EdgeSet,
     _EdgeTest,
     _PairRows,
+    _TripleRows,
     _first_u_complete_extension,
     _greedy_union,
     _swap_extend,
@@ -57,7 +59,8 @@ from conftest import GOLDEN_FAMILY, all_pairs_matrix, encode_with_assignment, ga
 #: rows the pair store of the u >= 3 edge stream keeps, on a narrow matrix
 _PAIR_ROWS = _PAIR_STORE_BOUND[0]
 
-#: the fewest rows on which the u = 3 stream reads the triple store
+#: the fewest rows the u = 3 stream's triple store must be let keep for
+#: the stream to read it (a design of any row count at n <= 65)
 _PASS_ROWS = _TRIPLE_STORE_MIN_ROWS
 
 
@@ -217,8 +220,14 @@ class TestBuildFamily:
              positive_head=0, seed=17)
     @example(t=600, n=9, u=4, e=5, density=1.0, negative_rate=0.02,
              positive_head=0, seed=18)
-    # the triple pass's row threshold, one row below it and at it; then
-    # every plane depth at it (e = 1 is the threshold's own)
+    # the triple pass's column threshold: n = 65 is the widest design whose
+    # store keeps enough rows, n = 66 takes the head stream; a short design
+    # and one of the pass's row count; then every plane depth at that count
+    # (e = 1 is its own)
+    @example(t=40, n=65, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=24)
+    @example(t=40, n=66, u=3, e=1, density=0.3, negative_rate=0.3,
+             positive_head=0, seed=25)
     @example(t=_PASS_ROWS - 1, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
              positive_head=0, seed=19)
     @example(t=_PASS_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
@@ -261,25 +270,31 @@ class TestBuildFamily:
         assert fam == _build_family_reference(matrix, outcome, u, e)
         assert fam.edges == tuple(sorted(fam.edges))
 
+    @pytest.mark.parametrize("triple_pass", [True, False], ids=["triple-pass", "head-stream"])
     @pytest.mark.parametrize("ones_rows, ones_last", [
         pytest.param(0, False, id="0"),
         pytest.param(_PAIR_ROWS, False, id=str(_PAIR_ROWS)),
         pytest.param(_PAIR_ROWS, True, id=f"{_PAIR_ROWS}-last"),
     ])
-    def test_last_head_holds_the_only_edge(self, ones_rows, ones_last):
+    def test_last_head_holds_the_only_edge(self, ones_rows, ones_last, triple_pass):
         # each negative row pools one triple: every triple but (5, 6, 7) sits
-        # in two of them, so the only edge is the last head's only pair.  The
-        # positive rows pool every item, so they are the heaviest and fill the
-        # pair store, before the negative rows or after them: the per-b scans
-        # alone see a negative row
+        # in two of them, so the only edge is the last head's only pair (the
+        # triple pass's bit 0).  The positive rows pool every item, so they
+        # are the heaviest and fill the store the stream reads (the pair
+        # store, or the triple store), before the negative rows or after
+        # them: the scans alone see a negative row
         triples = list(combinations(range(1, 8), 3))[:-1]
         negative = [[int(j in triple) for j in range(1, 8)] for triple in triples * 2]
         positive = [[1] * 7] * ones_rows
         rows = negative + positive if ones_last else positive + negative
         matrix = BinaryMatrix.from_bits(rows)
         outcome = OutcomeVector.from_bits([int(sum(row) == 7) for row in rows])
-        assert bool(_PairRows.of(matrix).gather(outcome.negatives_mask)) == (not ones_rows)
-        fam = build_family(matrix, outcome, 3, 1)
+        store = _TripleRows if triple_pass else _PairRows
+        assert bool(store.of(matrix).gather(outcome.negatives_mask)) == (not ones_rows)
+        with _triple_pass(triple_pass):
+            fam = build_family(matrix, outcome, 3, 1)
+        # the stream made no store but the one it reads
+        assert (_PairRows if triple_pass else _TripleRows)._name not in vars(matrix)
         assert fam.edges == ((5, 6, 7),)
         assert fam == _build_family_reference(matrix, outcome, 3, 1)
 
@@ -306,12 +321,15 @@ class TestBuildFamily:
     @pytest.mark.parametrize("bound", [(_PAIR_ROWS, 0), (1, 1 << 27), (5, 1 << 27)])
     def test_matches_reference_at_any_pair_store_bound(self, monkeypatch, bound):
         # a pair screen of no row (a design too wide for the bits), of one
-        # row and of a few rows: the stream stays exact
+        # row and of a few rows: the stream stays exact.  The triple store
+        # weighs the pair store's prefix, so it keeps no more rows than that
         monkeypatch.setattr(importlib.import_module("tgtkit.decode"), "_PAIR_STORE_BOUND", bound)
         rng = random.Random(5)
         matrix = BinaryMatrix(300, 9, [rng.getrandbits(9) for _ in range(300)])
         outcome = OutcomeVector(300, rng.getrandbits(300) & rng.getrandbits(300))
-        assert _PairRows.of(matrix).count == min(bound[0], bound[1] // 100)
+        pair_rows = min(bound[0], bound[1] // 100)
+        assert _PairRows.of(matrix).count == pair_rows
+        assert _TripleRows.of(matrix).count == _PAIR_STORE_PREFIX * pair_rows
         for u, e in product((3, 4), (0, 1, 2)):
             assert build_family(matrix, outcome, u, e) == (
                 _build_family_reference(matrix, outcome, u, e)
@@ -866,10 +884,12 @@ def test_decode_without_the_family_matches_the_family(
             assert getattr(result, "underdetermined", False) == (first is None)
 
 
+@pytest.mark.parametrize("triple_pass", [True, False], ids=["triple-pass", "head-stream"])
 @pytest.mark.parametrize("policy", sorted(_POLICIES))
-def test_decode_matches_the_reference_family_past_the_pair_screen(policy):
+def test_decode_matches_the_reference_family_past_the_pair_screen(policy, triple_pass):
     # build_family reads the same edge stream as decode, so the oracle is the
-    # per-subset scan; the design has 4,100 rows, twice the pair screen
+    # per-subset scan; the design has 4,100 rows, twice the pair screen, and
+    # is decoded with the triple pass and with the head stream alone
     params = TGTParams(n=24, d=3, ell=0, u=3, z=3)
     matrix = generate(params.n, params.d, params.u, params.z, seed=3)
     assert matrix.rows > 2 * _PAIR_ROWS
@@ -885,9 +905,9 @@ def test_decode_matches_the_reference_family_past_the_pair_screen(policy):
         )
         family = _build_family_reference(matrix, outcome, params.u, params.e)
         for algorithm in ALGORITHMS:
-            assert decode(outcome, matrix, params, algorithm) == (
-                decode_from_family(family, params, algorithm)
-            )
+            with _triple_pass(triple_pass):
+                result = decode(outcome, matrix, params, algorithm)
+            assert result == decode_from_family(family, params, algorithm)
 
 
 def test_decode_does_not_build_the_family(golden_matrix, golden_outcome, golden_params):

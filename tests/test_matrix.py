@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import importlib
 import math
@@ -498,19 +499,27 @@ def test_triple_store_is_bounded_in_rows_and_bits():
     for n in (60, 65, 66):
         tall = BinaryMatrix(3000, n, [(1 << n) - 1] * 3000)
         count, bits = _TripleRows.of(tall).count, math.comb(n, 3)
+        assert count == _TripleRows.bound(n)
         assert count * bits <= max_bits < (count + 1) * bits
         assert (count >= _TRIPLE_STORE_MIN_ROWS) == (n <= 65)
 
 
-def test_wide_three_item_decode_keeps_no_triple_rows():
-    # at n = 66 the triple store would keep too few rows: the stream reads
-    # the pair store head by head
-    params = TGTParams(n=66, d=3, ell=0, u=3, z=3)
-    rng = random.Random(66)
-    m = BinaryMatrix(600, params.n, [rng.getrandbits(params.n) for _ in range(600)])
+@pytest.mark.parametrize("n, rows, store, other", [
+    pytest.param(65, 100, _TripleRows, _PairRows, id="65-short"),
+    pytest.param(66, 600, _PairRows, _TripleRows, id="66"),
+])
+def test_three_item_decode_reads_the_store_its_width_picks(n, rows, store, other):
+    # the choice follows n alone: at n = 65 a design of fewer rows than the
+    # u = 3 stream's threshold still reads the triple store, all its rows;
+    # at n = 66 the triple store would keep too few rows, so the stream
+    # reads the pair store head by head
+    params = TGTParams(n=n, d=3, ell=0, u=3, z=3)
+    rng = random.Random(n)
+    m = BinaryMatrix(rows, n, [rng.getrandbits(n) for _ in range(rows)])
     outcome = encode(m, ItemSet.of([5, 40, 61]), params.ell, params.u, GapPolicy.always_negative())
     decode(outcome, m, params, 2)
-    assert _masks_built(m, _TripleRows) is None and _masks_built(m, _PairRows) > 0
+    assert _masks_built(m, store) > 0 and _masks_built(m, other) is None
+    assert _TripleRows.size(m) == min(rows, _TripleRows.bound(n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -613,29 +622,34 @@ def test_two_item_decode_keeps_no_pair_rows():
     assert _masks_built(m, _PairRows) is None and _masks_built(m, _TripleRows) is None
 
 
-def test_threads_decoding_on_one_matrix_agree():
-    # threads that race to build the same triple masks decode as one thread does
+@pytest.mark.parametrize("stream", [contextlib.nullcontext, _head_stream],
+                         ids=["triple-masks", "pair-masks"])
+def test_threads_decoding_on_one_matrix_agree(stream):
+    # threads that race to build the same row masks (the triple pass's, or
+    # the head stream's pair masks) decode as one thread does
     m, outcome, params = _three_item_decode_case()
     expected = [decode(outcome, BinaryMatrix.parse(m.to_text()), params, alg) for alg in (1, 2, 3)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            shared = BinaryMatrix.parse(m.to_text())
-            seen = []
-            start = threading.Barrier(4)
+        with stream():
+            for _ in range(3):
+                shared = BinaryMatrix.parse(m.to_text())
+                seen = []
+                start = threading.Barrier(4)
 
-            def run():
-                start.wait(timeout=10)
-                seen.append([decode(outcome, shared, params, alg) for alg in (1, 2, 3)])
+                def run():
+                    start.wait(timeout=10)
+                    seen.append([decode(outcome, shared, params, alg) for alg in (1, 2, 3)])
 
-            workers = [threading.Thread(target=run) for _ in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-            assert not any(w.is_alive() for w in workers)
-            assert seen == [expected] * 4
+                workers = [threading.Thread(target=run) for _ in range(4)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+                assert seen == [expected] * 4
+                assert _masks_built(shared, _PairRows if stream is _head_stream else _TripleRows)
     finally:
         sys.setswitchinterval(old_interval)
 
