@@ -30,10 +30,11 @@ is one screened column scan: the ``x`` that complete a sorted
 shares, is that scan once per item for ``u = 2``.  For ``u >= 3`` it
 counts hits over the masks of the matrix's heaviest rows, heaviest first
 (a store made once per matrix and kept with it, see :class:`_RowStore`),
-and scans only what the count leaves (see :meth:`_EdgeTest.edges`): for
-``u = 3`` on a small design (``n <= 65``) one pass counts every triple at
-once over triple masks, and otherwise the hits of every pair completing a
-``(u - 2)``-tuple are counted at once over pair masks.
+and scans only what the count leaves (see :meth:`_EdgeTest.edges`).  The
+masks hold each row's triples on a small design (``n <= 65``) and its
+pairs otherwise, and one count covers every subset that completes a head,
+a sorted ``(u - 3)``- or ``(u - 2)``-tuple: for ``u = 3`` on a small
+design, one pass counts every triple at once.
 Algorithm 3's extension needs no restricted family: algorithm 2's output
 holds the first edge, so that is the first edge inside it, and every
 subset the extension asks about lies inside it.
@@ -178,7 +179,7 @@ class DecodeResult:
 _SCREEN_ROWS = 512
 
 #: bound on the pair store of a matrix, as (rows, bits): each of
-#: ``(cols + 1) ** 2`` bits (2048 rows of 3,721 bits at n=60, about 1 MB in
+#: ``C(cols, 2)`` bits (2048 rows of 1,770 bits at n=60, about 0.5 MB in
 #: all; 16 MB at most)
 _PAIR_STORE_BOUND = (2048, 1 << 27)
 
@@ -186,9 +187,9 @@ _PAIR_STORE_BOUND = (2048, 1 << 27)
 #: ``C(cols, 3)`` bits (490 rows of 34,220 bits at n=60, 2 MB at most)
 _TRIPLE_STORE_BOUND = (2048, 1 << 24)
 
-#: the ``u = 3`` stream reads the triple store only when its bound lets it
+#: the ``u >= 3`` stream reads the triple store only when its bound lets it
 #: keep at least this many rows (n <= 65), whatever the matrix's row count,
-#: and else reads the pair store head by head
+#: and else reads the pair store
 _TRIPLE_STORE_MIN_ROWS = 384
 
 #: each store keeps the heaviest rows of the first ``_PAIR_STORE_PREFIX``
@@ -234,29 +235,51 @@ def _bits_of(mask: int, first: int) -> list[int]:
 
 
 class _RowStore:
-    """Masks of a matrix's heaviest rows, in a subclass's layout: the
-    ``count`` rows that hold the most items among the first
+    """Subset masks of a matrix's heaviest rows, for the ``u >= 3`` edge
+    stream: the ``count`` rows that hold the most items among the first
     ``_PAIR_STORE_PREFIX`` times as many rows as the pair store keeps (or
-    all of them, if fewer), kept in that order, ties in row order.  A row holding ``k`` items rejects up
-    to ``C(k, 2)`` pairs and ``C(k, 3)`` triples, so the edge stream reads
+    all of them, if fewer), kept in that order, ties in row order.  A row
+    holding ``j`` items rejects up to ``C(j, k)`` of the ``k``-subsets a
+    subclass's store counts (``k`` is 2 or 3), so the edge stream reads
     these first.
 
     ``rows[s]`` is the 0-based index of the ``s``-th kept row, bit ``s`` of
     ``cols[j]`` is set when that row holds item ``j + 1``, and
     :meth:`gather` maps a mask over all rows to one over the kept rows.
     ``masks[s]``, kept row ``s``'s mask, is built on first read
-    (:meth:`build`).  ``every`` has one bit per place of the layout, and
+    (:meth:`build`).  ``every`` has one bit per ``k``-subset, and
     :meth:`start_planes` gives the edge stream's hit counts at their start.
+
+    Bit ``C(n - b, 2) + (c - b - 1)`` of a pair mask is set when the row
+    holds items ``b < c``, and bit ``C(n - a, 3) + C(n - b, 2) + (c - b - 1)``
+    of a triple mask when it holds ``a < b < c``: the subsets lie in
+    lexicographic order from the top bit down, in one block per first item,
+    and in a triple mask one per second item within that.  The subsets
+    after item ``i`` are the low ``C(n - i, k)`` bits (:meth:`after`), so a
+    triple mask lays end to end, for each item ``a`` of the row, the pairs
+    of its pair mask that lie after ``a``.
     """
 
-    #: the name the matrix keeps the store under
+    #: the size of the subsets a mask holds, and the name the matrix keeps
+    #: the store under
+    k = 0
     _name = ""
 
-    def __init__(self, matrix: BinaryMatrix, count: int, every: int) -> None:
+    @classmethod
+    def bound(cls, cols: int) -> int:
+        """The most rows the store of a matrix of ``cols`` columns keeps."""
+        max_rows, max_bits = _TRIPLE_STORE_BOUND if cls.k == 3 else _PAIR_STORE_BOUND
+        return min(max_rows, max_bits // max(1, math.comb(cols, cls.k)))
+
+    @classmethod
+    def size(cls, matrix: BinaryMatrix) -> int:
+        """The rows the matrix's store keeps."""
+        return min(matrix.rows, cls.bound(matrix.cols))
+
+    def __init__(self, matrix: BinaryMatrix) -> None:
         n = matrix.cols
-        self.every = every
         prefix = min(matrix.rows, _PAIR_STORE_PREFIX * _PairRows.size(matrix))
-        self.rows = rows = tuple(_heaviest_rows(matrix.col_masks, prefix, count))
+        self.rows = rows = tuple(_heaviest_rows(matrix.col_masks, prefix, self.size(matrix)))
         self.count = count = len(rows)
         # the kept rows' digits, last item first, laid end to end from the
         # last kept row: the prefix's columns as digits, last column and
@@ -267,6 +290,11 @@ class _RowStore:
         self.cols = tuple(int(self._digits[n - 1 - j :: n] or "0", 2) for j in range(n))
         self._pick = itemgetter(*[prefix - 1 - i for i in reversed(rows)]) if rows else None
         self._n = n
+        # by m = n - item, the digit index of the item: its block's start
+        # among the pairs and among the k-subsets
+        self._pair_at = [math.comb(m, 2) for m in range(n + 1)]
+        self._at = [math.comb(m, self.k) for m in range(n + 1)]
+        self.every = self.after(0)
         self.masks: list[Optional[int]] = [None] * count
         self._start: dict[int, tuple[int, ...]] = {}
 
@@ -290,8 +318,42 @@ class _RowStore:
         return mask
 
     def _layout(self, digits: str) -> int:
-        """The mask of a row given as its digits, last item first."""
-        raise NotImplementedError
+        """The mask of a row given as its digits, last item first: its
+        pairs, each item's later items shifted to its block, then for
+        ``k = 3`` each item's pairs after it shifted to its block."""
+        row, n, pair_at = int(digits, 2), self._n, self._pair_at
+        ms = list(compress(count(), digits.encode().translate(_DIGIT_VALUES)))
+        mask = sum([(row >> n - m) << pair_at[m] for m in ms])
+        if self.k == 3:
+            at = self._at
+            mask = sum([(mask & ((1 << pair_at[m]) - 1)) << at[m] for m in ms])
+        return mask
+
+    def after(self, item: int) -> int:
+        """The subsets whose items are all above ``item``."""
+        return (1 << self._at[self._n - item]) - 1
+
+    def split(self, subsets: int, head: tuple[int, ...]) -> Iterator[tuple[tuple, list[int]]]:
+        """``head + rest`` for each sorted ``(k - 1)``-tuple ``rest`` with a
+        subset in ``subsets``, in order, each with the last items of its
+        subsets there, in order: the top set bit of what is left gives the
+        next first item, then, for ``k = 3``, that of its block the next
+        second item."""
+        n, pair_at, at, k = self._n, self._pair_at, self._at, self.k
+        while subsets:
+            m = bisect_right(at, subsets.bit_length() - 1) - 1
+            block = subsets >> at[m]
+            subsets ^= block << at[m]
+            a = n - m
+            if k == 2:
+                yield head + (a,), _bits_of(block, a + 1)
+                continue
+            while block:
+                j = bisect_right(pair_at, block.bit_length() - 1) - 1
+                cs = block >> pair_at[j]
+                block ^= cs << pair_at[j]
+                b = n - j
+                yield head + (a, b), _bits_of(cs, b + 1)
 
     def start_planes(self, e: int) -> tuple[int, ...]:
         """Bit planes that count ``2**len(planes) - (e + 1)`` at every bit of
@@ -300,120 +362,21 @@ class _RowStore:
         planes = self._start.get(e)
         if planes is None:
             start = 2 ** e.bit_length() - (e + 1)
-            planes = tuple(self.every if start >> k & 1 else 0 for k in range(e.bit_length()))
+            planes = tuple(self.every if start >> i & 1 else 0 for i in range(e.bit_length()))
             planes = self._start.setdefault(e, planes)
         return planes
 
 
 class _PairRows(_RowStore):
-    """Pair masks of a matrix's heaviest rows (see :class:`_RowStore`), for
-    the edge stream's heads.
+    """The pair masks of a matrix's heaviest rows (see :class:`_RowStore`)."""
 
-    Bit ``b * (cols + 1) + x`` of ``masks[s]`` is set when kept row ``s``
-    holds items ``b`` and ``x``.  The row's items ``b`` are spread to bits
-    ``b * (cols + 1)``, and the spread is multiplied by the row: each item's
-    product lies in a block of its own, so nothing carries.
-    """
-
-    _name = "_pair_store"
-
-    @staticmethod
-    def size(matrix: BinaryMatrix) -> int:
-        """The rows the matrix's pair store keeps."""
-        max_rows, max_bits = _PAIR_STORE_BOUND
-        return min(matrix.rows, max_rows, max_bits // (matrix.cols + 1) ** 2)
-
-    def __init__(self, matrix: BinaryMatrix) -> None:
-        n = matrix.cols
-        self._width = width = n + 1
-        super().__init__(matrix, self.size(matrix), (1 << width * width) - 1)
-        self._block = (1 << width) - 1  # one b's x
-        self._upper = sum(((1 << width) - (2 << b)) << b * width for b in range(1, n))  # b < x
-        self._bytes = (width + 7) // 8  # of a row shifted to bits 1..cols
-        # each byte value with bit k moved to bit k * width: ``width`` bytes,
-        # so a row's bytes spread to their spreads laid end to end
-        spread = [0]
-        for value in range(1, 256):
-            spread.append(spread[value >> 1] << width | value & 1)
-        self._spread = [value.to_bytes(width, "little") for value in spread]
-
-    def _layout(self, digits: str) -> int:
-        row = int(digits, 2) << 1
-        spread = b"".join(map(self._spread.__getitem__, row.to_bytes(self._bytes, "little")))
-        return int.from_bytes(spread, "little") * row
-
-    def after(self, item: int) -> int:
-        """The pairs ``(b, x)`` with ``item < b < x``."""
-        cut = (item + 1) * self._width
-        return self._upper >> cut << cut
-
-    def split(self, pairs: int, head: tuple[int, ...]) -> Iterator[tuple[tuple, list[int]]]:
-        """``head + (b,)`` for each ``b`` with a pair in ``pairs``, in
-        order, each with the ``x`` of its pairs there, in order."""
-        width, block = self._width, self._block
-        while pairs:
-            b = ((pairs & -pairs).bit_length() - 1) // width
-            xs = pairs >> b * width & block
-            pairs ^= xs << b * width
-            yield head + (b,), _bits_of(xs, 0)
+    k, _name = 2, "_pair_store"
 
 
 class _TripleRows(_RowStore):
-    """Triple masks of a matrix's heaviest rows (see :class:`_RowStore`),
-    for the ``u = 3`` stream's one pass.
+    """The triple masks of a matrix's heaviest rows (see :class:`_RowStore`)."""
 
-    Bit ``C(n - a, 3) + C(n - b, 2) + (c - b - 1)`` of ``masks[s]`` is set
-    when kept row ``s`` holds items ``a < b < c``: the triples lie in
-    lexicographic order from the top bit down, in one block per ``a`` and
-    in it one per ``b``.  The row's pair mask in the same layout (bit
-    ``C(n - b, 2) + (c - b - 1)``) holds its pairs after ``a`` in its low
-    ``C(n - a, 2)`` bits, so the triple mask lays those blocks end to end.
-    """
-
-    _name = "_triple_store"
-
-    @staticmethod
-    def bound(cols: int) -> int:
-        """The most rows the triple store of a matrix of ``cols`` columns keeps."""
-        max_rows, max_bits = _TRIPLE_STORE_BOUND
-        return min(max_rows, max_bits // max(1, math.comb(cols, 3)))
-
-    @staticmethod
-    def size(matrix: BinaryMatrix) -> int:
-        """The rows the matrix's triple store keeps."""
-        return min(matrix.rows, _TripleRows.bound(matrix.cols))
-
-    def __init__(self, matrix: BinaryMatrix) -> None:
-        n = matrix.cols
-        super().__init__(matrix, self.size(matrix), (1 << math.comb(n, 3)) - 1)
-        # by m = n - item, the digit index of the item: its block's start
-        # among the triples and among the pairs, and its pairs after it
-        self._triple_at = [math.comb(m, 3) for m in range(n + 1)]
-        self._pair_at = [math.comb(m, 2) for m in range(n + 1)]
-        self._pairs_after = [(1 << math.comb(m, 2)) - 1 for m in range(n + 1)]
-
-    def _layout(self, digits: str) -> int:
-        row, n = int(digits, 2), self._n
-        ms = list(compress(count(), digits.encode().translate(_DIGIT_VALUES)))
-        pairs = sum([(row >> n - m) << self._pair_at[m] for m in ms])
-        return sum([(pairs & self._pairs_after[m]) << self._triple_at[m] for m in ms])
-
-    def split(self, triples: int) -> Iterator[tuple[tuple, list[int]]]:
-        """Each sorted ``(a, b)`` with a triple in ``triples``, in order,
-        with the ``c`` of its triples there, in order: the top set bit of
-        what is left gives the next ``a``, then that of its block the next
-        ``b``."""
-        n, triple_at, pair_at = self._n, self._triple_at, self._pair_at
-        while triples:
-            m = bisect_right(triple_at, triples.bit_length() - 1) - 1
-            block = triples >> triple_at[m]
-            triples ^= block << triple_at[m]
-            while block:
-                k = bisect_right(pair_at, block.bit_length() - 1) - 1
-                cs = block >> pair_at[k]
-                block ^= cs << pair_at[k]
-                b = n - k
-                yield (n - m, b), _bits_of(cs, b + 1)
+    k, _name = 3, "_triple_store"
 
 
 def _hits_left(store: _RowStore, rows: int, e: int, alive: int) -> int:
@@ -422,8 +385,9 @@ def _hits_left(store: _RowStore, rows: int, e: int, alive: int) -> int:
     adds its mask to a hit count per bit, kept in bit planes (see
     :meth:`_RowStore.start_planes`), and a bit's ``(e + 1)``-th hit rejects
     it.  Reading stops when no bit is left, or when a checkpoint of 8 rows
-    rejects none.  The edge stream counts here both a head's pairs and, in
-    one pass, every triple.
+    rejects none.  No bit can be rejected before ``e + 1`` rows are read,
+    and few are until several times as many are, so the checkpoints start
+    past ``4 * e`` rows (at 8 rows for ``e <= 1``).
     """
     masks, build = store.masks, store.build
     planes = list(store.start_planes(e))
@@ -440,7 +404,7 @@ def _hits_left(store: _RowStore, rows: int, e: int, alive: int) -> int:
             carry &= plane
         dead |= carry
         read += 1
-        if not read % 8:
+        if not read % 8 and read > 4 * e:
             left = alive & ~dead
             if not left or left == alive:
                 break
@@ -534,18 +498,18 @@ class _EdgeTest:
         a lower bound on ``t0``, so that rejects exactly whichever rows are
         read, in whatever order: heavy rows first only reject sooner.
 
-        For ``u = 3``, when the triple store's bound lets it keep at least
-        ``_TRIPLE_STORE_MIN_ROWS`` rows (``n <= 65``, on a design of any
-        row count), one pass over its negative rows counts every triple at once (the masks
-        of :class:`_TripleRows`), and the triples left are checked by one
-        :meth:`completions` scan per ``(a, b)``.  Otherwise the edges come
-        one *head* at a time: a sorted ``(u - 2)``-tuple, whose edges are
-        its pairs ``(b, x)`` with ``head[-1] < b < x``.  The head's negative
-        rows among the pair store's (:class:`_PairRows`) count its pairs,
-        and the pairs left are checked by one scan per ``b``.  The head
-        stream computes nothing past the head of the last edge drawn, so
-        ``next`` on it is a search for the first edge; the triple pass
-        counts every triple before its first edge.
+        For ``u >= 3`` the stream reads the triple store
+        (:class:`_TripleRows`) when its bound lets it keep at least
+        ``_TRIPLE_STORE_MIN_ROWS`` rows (``n <= 65``, on a design of any row
+        count), and else the pair store (:class:`_PairRows`).  With a store
+        of ``k``-subsets, the edges come one *head* at a time: a sorted
+        ``(u - k)``-tuple, whose edges are the store's subsets after
+        ``head[-1]``.  The head's negative rows among the store's count all
+        those subsets at once, and the subsets left are checked by one scan
+        per block of :meth:`_RowStore.split`.  For ``u = k = 3`` the one
+        head is ``()``, so one pass counts every triple.  The stream
+        computes nothing past the head of the last edge drawn, so ``next``
+        on it is a search for the first edge.
         """
         n, u, e = self._n, self._u, self._e
         if u < 3:
@@ -553,21 +517,14 @@ class _EdgeTest:
                 for x in self.completions(rest, range(rest[-1] + 1 if rest else 1, n + 1)):
                     yield rest + (x,)
             return
-        if u == 3 and _TripleRows.bound(n) >= _TRIPLE_STORE_MIN_ROWS:
-            triples = _TripleRows.of(self._matrix)
-            left = _hits_left(triples, triples.gather(self._negatives), e, triples.every)
-            for rest, xs in triples.split(left):
-                for x in self.completions(rest, xs):
-                    yield rest + (x,)
-            return
-        store = _PairRows.of(self._matrix)
-        negatives = store.gather(self._negatives)
-        screen = [0] + [col & negatives for col in store.cols]  # over the kept rows
-        for head in combinations(range(1, n - 1), u - 2):
+        use = _TripleRows if _TripleRows.bound(n) >= _TRIPLE_STORE_MIN_ROWS else _PairRows
+        store = use.of(self._matrix)
+        negatives, cols = store.gather(self._negatives), store.cols
+        for head in combinations(range(1, n - store.k + 1), u - store.k):
             rows = negatives
             for j in head:
-                rows &= screen[j]
-            left = _hits_left(store, rows, e, store.after(head[-1]))
+                rows &= cols[j - 1]
+            left = _hits_left(store, rows, e, store.after(head[-1] if head else 0))
             for rest, xs in store.split(left, head):
                 for x in self.completions(rest, xs):
                     yield rest + (x,)

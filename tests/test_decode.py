@@ -65,7 +65,7 @@ _PASS_ROWS = _TRIPLE_STORE_MIN_ROWS
 
 
 def _triple_pass(on):
-    """A context in which the u = 3 stream reads the triple store where it
+    """A context in which the u >= 3 stream reads the triple store where it
     would (``on``), or never: the triple store's bound then leaves it no row."""
     decode_module = importlib.import_module("tgtkit.decode")
     bound = decode_module._TRIPLE_STORE_BOUND if on else (0, 0)
@@ -238,6 +238,9 @@ class TestBuildFamily:
              positive_head=0, seed=22)
     @example(t=_PASS_ROWS, n=9, u=3, e=5, density=0.6, negative_rate=0.3,
              positive_head=0, seed=23)
+    # e = 9: the count's first checkpoint is past 4 * e rows, at 40
+    @example(t=_PASS_ROWS, n=9, u=4, e=9, density=0.6, negative_rate=0.3,
+             positive_head=0, seed=26)
     # a pass that a checkpoint stops after 40 of its 121 negative rows, with
     # one non-edge left to the scans
     @example(t=_PASS_ROWS, n=9, u=3, e=1, density=0.3, negative_rate=0.3,
@@ -251,8 +254,8 @@ class TestBuildFamily:
     ):
         # rows before positive_head are positive, so negatives can sit
         # entirely past the screen; rate 0 and 1 give all-positive and
-        # all-negative outcomes.  Every u = 3 case runs with the triple pass
-        # where the stream picks it, and with the head stream alone
+        # all-negative outcomes.  Every u >= 3 case runs on the triple store
+        # where the stream picks it, and on the pair store alone
         if u > n:
             u = n
         rng = random.Random(seed)
@@ -313,7 +316,7 @@ class TestBuildFamily:
         keys = [(-rows[i].bit_count(), i) for i in store.rows]
         assert keys == sorted(keys)
         outcome = OutcomeVector(len(rows), rng.getrandbits(len(rows)) & rng.getrandbits(len(rows)))
-        for u, e in product((3, 4), (0, 1, 2)):
+        for u, e in product((3, 4), (0, 1, 2, 9)):
             assert build_family(matrix, outcome, u, e) == (
                 _build_family_reference(matrix, outcome, u, e)
             )
@@ -327,10 +330,10 @@ class TestBuildFamily:
         rng = random.Random(5)
         matrix = BinaryMatrix(300, 9, [rng.getrandbits(9) for _ in range(300)])
         outcome = OutcomeVector(300, rng.getrandbits(300) & rng.getrandbits(300))
-        pair_rows = min(bound[0], bound[1] // 100)
+        pair_rows = min(bound[0], bound[1] // math.comb(9, 2))
         assert _PairRows.of(matrix).count == pair_rows
         assert _TripleRows.of(matrix).count == _PAIR_STORE_PREFIX * pair_rows
-        for u, e in product((3, 4), (0, 1, 2)):
+        for u, e in product((3, 4), (0, 1, 2, 9)):
             assert build_family(matrix, outcome, u, e) == (
                 _build_family_reference(matrix, outcome, u, e)
             )
@@ -889,7 +892,7 @@ def test_decode_without_the_family_matches_the_family(
 def test_decode_matches_the_reference_family_past_the_pair_screen(policy, triple_pass):
     # build_family reads the same edge stream as decode, so the oracle is the
     # per-subset scan; the design has 4,100 rows, twice the pair screen, and
-    # is decoded with the triple pass and with the head stream alone
+    # is decoded on the triple store and on the pair store alone
     params = TGTParams(n=24, d=3, ell=0, u=3, z=3)
     matrix = generate(params.n, params.d, params.u, params.z, seed=3)
     assert matrix.rows > 2 * _PAIR_ROWS

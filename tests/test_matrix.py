@@ -484,8 +484,8 @@ def test_pair_store_is_bounded_in_rows_and_bits():
     assert _PairRows.of(m).count == max_rows
     assert _masks_built(m, _PairRows) <= max_rows
     wide = BinaryMatrix(40, 3000, [(1 << 3000) - 1] * 40)
-    count = _PairRows.of(wide).count
-    assert count * 3001**2 <= max_bits < (count + 1) * 3001**2
+    count, bits = _PairRows.of(wide).count, math.comb(3000, 2)
+    assert count * bits <= max_bits < (count + 1) * bits
 
 
 def test_triple_store_is_bounded_in_rows_and_bits():
@@ -504,112 +504,94 @@ def test_triple_store_is_bounded_in_rows_and_bits():
         assert (count >= _TRIPLE_STORE_MIN_ROWS) == (n <= 65)
 
 
+@pytest.mark.parametrize("u", [3, 4])
 @pytest.mark.parametrize("n, rows, store, other", [
     pytest.param(65, 100, _TripleRows, _PairRows, id="65-short"),
     pytest.param(66, 600, _PairRows, _TripleRows, id="66"),
 ])
-def test_three_item_decode_reads_the_store_its_width_picks(n, rows, store, other):
-    # the choice follows n alone: at n = 65 a design of fewer rows than the
-    # u = 3 stream's threshold still reads the triple store, all its rows;
-    # at n = 66 the triple store would keep too few rows, so the stream
-    # reads the pair store head by head
-    params = TGTParams(n=n, d=3, ell=0, u=3, z=3)
+def test_three_item_decode_reads_the_store_its_width_picks(n, rows, store, other, u):
+    # the choice follows n alone, for every u >= 3: at n = 65 a design of
+    # fewer rows than the stream's threshold still reads the triple store,
+    # all its rows; at n = 66 the triple store would keep too few rows, so
+    # the stream reads the pair store
+    params = TGTParams(n=n, d=4, ell=0, u=u, z=3)
     rng = random.Random(n)
     m = BinaryMatrix(rows, n, [rng.getrandbits(n) for _ in range(rows)])
-    outcome = encode(m, ItemSet.of([5, 40, 61]), params.ell, params.u, GapPolicy.always_negative())
+    defectives = ItemSet.of([5, 40, 61, 63][:u])
+    outcome = encode(m, defectives, params.ell, params.u, GapPolicy.always_negative())
     decode(outcome, m, params, 2)
     assert _masks_built(m, store) > 0 and _masks_built(m, other) is None
     assert _TripleRows.size(m) == min(rows, _TripleRows.bound(n))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    t=st.integers(1, 120),
-    n=st.integers(1, 6),
-    keep=st.integers(0, 40),
-    density=st.sampled_from((0.0, 0.2, 0.5, 1.0)),
-    seed=st.integers(0, 2**32 - 1),
-)
-# a store of no row, of one row, and rows of one or two weights, so that
-# nearly every row ties with another
-@example(t=50, n=4, keep=0, density=0.5, seed=0)
-@example(t=50, n=4, keep=1, density=0.5, seed=1)
-@example(t=120, n=1, keep=40, density=0.5, seed=2)
-@example(t=120, n=2, keep=40, density=0.5, seed=3)
-@example(t=120, n=6, keep=40, density=1.0, seed=4)
-def test_pair_store_keeps_the_heaviest_prefix_rows_in_order(t, n, keep, density, seed):
-    # many rows of few items: most weights tie, and ties go in row order
-    rng = random.Random(seed)
-    rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)]
-    m = BinaryMatrix(t, n, rows)
-    decode_module = importlib.import_module("tgtkit.decode")
-    with mock.patch.object(decode_module, "_PAIR_STORE_BOUND", (keep, 1 << 27)):
-        store = _PairRows.of(m)
-    count = min(t, keep)
-    prefix = min(t, _PAIR_STORE_PREFIX * count)
-    weights = [mask.bit_count() for mask in rows]
-    assert store.count == count
-    assert store.rows == tuple(sorted(range(prefix), key=lambda i: (-weights[i], i))[:count])
-    for s, i in enumerate(store.rows):
-        assert [col >> s & 1 for col in store.cols] == [rows[i] >> j & 1 for j in range(n)]
-        pairs = store.build(s)
-        assert pairs == sum(
-            1 << b * (n + 1) + x
-            for b in range(1, n + 1)
-            for x in range(1, n + 1)
-            if rows[i] >> (b - 1) & 1 and rows[i] >> (x - 1) & 1
-        )
-    negatives = rng.getrandbits(t)
-    assert store.gather(negatives) == sum(
-        1 << s for s, i in enumerate(store.rows) if negatives >> i & 1
+def _subset_bit(n, subset):
+    """The bit of a sorted pair or triple in its store's layout: a block per
+    item but the last, counted from the top, then the last item's offset."""
+    *firsts, b, c = subset
+    return sum(math.comb(n - a, len(subset) - i) for i, a in enumerate(firsts)) + (
+        math.comb(n - b, 2) + (c - b - 1)
     )
 
 
-def _triple_bit(n, a, b, c):
-    """The bit of the sorted triple ``(a, b, c)`` in the triple store's layout."""
-    return math.comb(n - a, 3) + math.comb(n - b, 2) + (c - b - 1)
-
-
+@pytest.mark.parametrize("store_type", [_PairRows, _TripleRows], ids=["k=2", "k=3"])
 @settings(max_examples=150, deadline=None)
 @given(
     t=st.integers(1, 120),
-    n=st.integers(3, 8),
+    n=st.integers(1, 8),
     keep=st.integers(0, 40),
     density=st.sampled_from((0.0, 0.2, 0.5, 1.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-# a store of no row and of one row; n = 3, whose one triple is bit 0
+# a store of no row and of one row, rows of one or two weights, so that
+# nearly every row ties with another, and n = k, whose one subset is bit 0
 @example(t=50, n=5, keep=0, density=0.5, seed=0)
 @example(t=50, n=5, keep=1, density=0.5, seed=1)
-@example(t=120, n=3, keep=40, density=0.5, seed=2)
-@example(t=120, n=8, keep=40, density=1.0, seed=3)
-def test_triple_store_keeps_the_heaviest_prefix_rows_and_their_triples(t, n, keep, density, seed):
-    # the triple store weighs the pair store's prefix and keeps its rows as
-    # the pair store does; each kept row's mask holds its triples, and
-    # split reads any set of triples back in lexicographic order
+@example(t=120, n=1, keep=40, density=0.5, seed=2)
+@example(t=120, n=2, keep=40, density=0.5, seed=3)
+@example(t=120, n=3, keep=40, density=0.5, seed=4)
+@example(t=120, n=8, keep=40, density=1.0, seed=5)
+def test_store_keeps_the_heaviest_prefix_rows_and_their_subsets(
+    store_type, t, n, keep, density, seed
+):
+    # both stores weigh the pair store's prefix and keep their rows in the
+    # same order, ties in row order; each kept row's mask holds its
+    # k-subsets, and split reads any set of them back in lexicographic
+    # order, after any head
     rng = random.Random(seed)
     rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(t)]
     m = BinaryMatrix(t, n, rows)
     decode_module = importlib.import_module("tgtkit.decode")
     with mock.patch.object(decode_module, "_TRIPLE_STORE_BOUND", (keep, 1 << 24)), \
             mock.patch.object(decode_module, "_PAIR_STORE_BOUND", (keep, 1 << 27)):
-        store = _TripleRows.of(m)
+        store = store_type.of(m)
     count = min(t, keep)
     prefix = min(t, _PAIR_STORE_PREFIX * count)
     weights = [mask.bit_count() for mask in rows]
     assert store.count == count
     assert store.rows == tuple(sorted(range(prefix), key=lambda i: (-weights[i], i))[:count])
-    triples = list(combinations(range(1, n + 1), 3))
+    subsets = list(combinations(range(1, n + 1), store.k))
+    assert store.every == sum(1 << _subset_bit(n, subset) for subset in subsets)
     for s, i in enumerate(store.rows):
+        assert [col >> s & 1 for col in store.cols] == [rows[i] >> j & 1 for j in range(n)]
         assert store.build(s) == sum(
-            1 << _triple_bit(n, *triple)
-            for triple in triples
-            if all(rows[i] >> (j - 1) & 1 for j in triple)
+            1 << _subset_bit(n, subset)
+            for subset in subsets
+            if all(rows[i] >> (j - 1) & 1 for j in subset)
         )
-    chosen = [triple for triple in triples if rng.random() < 0.3]
-    groups = list(store.split(sum(1 << _triple_bit(n, *triple) for triple in chosen)))
-    assert [rest + (c,) for rest, cs in groups for c in cs] == chosen
-    assert all(cs for _, cs in groups) and len({rest for rest, _ in groups}) == len(groups)
+    negatives = rng.getrandbits(t)
+    assert store.gather(negatives) == sum(
+        1 << s for s, i in enumerate(store.rows) if negatives >> i & 1
+    )
+    chosen = [subset for subset in subsets if rng.random() < 0.3]
+    mask = sum(1 << _subset_bit(n, subset) for subset in chosen)
+    for head in ((), (0,), (0, -1)):
+        groups = list(store.split(mask, head))
+        assert [rest + (c,) for rest, cs in groups for c in cs] == [head + x for x in chosen]
+        assert all(cs for _, cs in groups) and len({rest for rest, _ in groups}) == len(groups)
+    for item in range(n + 1):
+        assert store.after(item) == sum(
+            1 << _subset_bit(n, subset) for subset in subsets if subset[0] > item
+        )
 
 
 def test_two_item_decode_keeps_no_pair_rows():
