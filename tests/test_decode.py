@@ -301,10 +301,13 @@ class TestBuildFamily:
         assert fam.edges == ((5, 6, 7),)
         assert fam == _build_family_reference(matrix, outcome, 3, 1)
 
-    def test_heavy_rows_past_the_first_store_rows(self):
+    @pytest.mark.parametrize("triple_pass", [True, False], ids=["triple-pass", "head-stream"])
+    def test_heavy_rows_past_the_first_store_rows(self, triple_pass):
         # light rows first, then heavier ones past the first 2,048 rows but
         # within the prefix the store weighs: it keeps those, which a store of
-        # the first rows would miss, heaviest first and tied rows in order
+        # the first rows would miss, heaviest first and tied rows in order.
+        # The stream reads the triple store for u = 3 and 4 at n = 9, and the
+        # pair store alone, over (u - 2)-heads, when the triple store is off
         rng = random.Random(21)
         n, light = 9, _PAIR_ROWS + 200
         rows = [1 << rng.randrange(n) for _ in range(light)] + [
@@ -315,17 +318,26 @@ class TestBuildFamily:
         assert store.count == _PAIR_ROWS and min(store.rows) >= light
         keys = [(-rows[i].bit_count(), i) for i in store.rows]
         assert keys == sorted(keys)
-        outcome = OutcomeVector(len(rows), rng.getrandbits(len(rows)) & rng.getrandbits(len(rows)))
-        for u, e in product((3, 4), (0, 1, 2, 9)):
-            assert build_family(matrix, outcome, u, e) == (
-                _build_family_reference(matrix, outcome, u, e)
-            )
+        # three in four rows negative, which leaves no edge, and one in 128,
+        # which leaves edges at e = 9
+        t = len(rows)
+        dense = OutcomeVector(t, rng.getrandbits(t) & rng.getrandbits(t))
+        sparse = -1
+        for _ in range(7):
+            sparse &= rng.getrandbits(t)
+        outcomes = (dense, OutcomeVector(t, ((1 << t) - 1) & ~sparse))
+        for outcome, u, e in product(outcomes, (3, 4), (0, 1, 2, 9)):
+            with _triple_pass(triple_pass):
+                fam = build_family(matrix, outcome, u, e)
+            assert fam == _build_family_reference(matrix, outcome, u, e)
 
+    @pytest.mark.parametrize("triple_pass", [True, False], ids=["triple-pass", "head-stream"])
     @pytest.mark.parametrize("bound", [(_PAIR_ROWS, 0), (1, 1 << 27), (5, 1 << 27)])
-    def test_matches_reference_at_any_pair_store_bound(self, monkeypatch, bound):
+    def test_matches_reference_at_any_pair_store_bound(self, monkeypatch, bound, triple_pass):
         # a pair screen of no row (a design too wide for the bits), of one
-        # row and of a few rows: the stream stays exact.  The triple store
-        # weighs the pair store's prefix, so it keeps no more rows than that
+        # row and of a few rows: the stream stays exact, on the pair store
+        # alone and on the triple store.  The triple store weighs the pair
+        # store's prefix, so it keeps no more rows than that
         monkeypatch.setattr(importlib.import_module("tgtkit.decode"), "_PAIR_STORE_BOUND", bound)
         rng = random.Random(5)
         matrix = BinaryMatrix(300, 9, [rng.getrandbits(9) for _ in range(300)])
@@ -334,9 +346,9 @@ class TestBuildFamily:
         assert _PairRows.of(matrix).count == pair_rows
         assert _TripleRows.of(matrix).count == _PAIR_STORE_PREFIX * pair_rows
         for u, e in product((3, 4), (0, 1, 2, 9)):
-            assert build_family(matrix, outcome, u, e) == (
-                _build_family_reference(matrix, outcome, u, e)
-            )
+            with _triple_pass(triple_pass):
+                fam = build_family(matrix, outcome, u, e)
+            assert fam == _build_family_reference(matrix, outcome, u, e)
 
     def test_leaves_no_reference_cycles(self):
         rng = random.Random(7)
